@@ -152,13 +152,27 @@ impl SymbolTable {
     /// mint nulls against a shared `&SymbolTable`.  Symbols from two sources
     /// derived from the same table state *may* collide with each other —
     /// callers that need cross-worker distinctness must keep worker outputs
-    /// separate (null names never influence chase verdicts; each worker only
-    /// needs within-run distinctness).
+    /// separate, or fold each source back with [`SymbolTable::advance_past`]
+    /// before deriving the next.
     pub fn fresh_source(&self) -> FreshSymbols {
         FreshSymbols {
             next: self.fresh_count,
-            start: self.fresh_count,
         }
+    }
+
+    /// Advances the table past every symbol `source` has minted or skipped,
+    /// so later [`SymbolTable::fresh`] calls and sources never reissue them.
+    ///
+    /// ```
+    /// use ps_base::SymbolTable;
+    /// let mut t = SymbolTable::new();
+    /// let mut source = t.fresh_source();
+    /// let minted = source.fresh();
+    /// t.advance_past(&source);
+    /// assert_ne!(t.fresh_source().fresh(), minted);
+    /// ```
+    pub fn advance_past(&mut self, source: &FreshSymbols) {
+        self.fresh_count = self.fresh_count.max(source.next);
     }
 }
 
@@ -181,7 +195,6 @@ impl SymbolTable {
 #[derive(Debug, Clone)]
 pub struct FreshSymbols {
     next: u32,
-    start: u32,
 }
 
 impl FreshSymbols {
@@ -192,9 +205,13 @@ impl FreshSymbols {
         Symbol(FRESH_TAG | id)
     }
 
-    /// Number of symbols this source has minted.
-    pub fn minted(&self) -> usize {
-        (self.next - self.start) as usize
+    /// Moves the cursor past `sym` if it is a fresh symbol at or above it,
+    /// so this source never mints a null that already occurs in its input.
+    /// Constants are ignored.
+    pub fn skip_past(&mut self, sym: Symbol) {
+        if sym.0 & FRESH_TAG != 0 {
+            self.next = self.next.max((sym.0 & !FRESH_TAG) + 1);
+        }
     }
 }
 
@@ -260,12 +277,35 @@ mod tests {
         assert_ne!(s1, s2);
         assert_ne!(before, s1);
         assert!(t.is_fresh(s1) && t.is_fresh(s2));
-        assert_eq!(source.minted(), 2);
         // Minting from the source never advances the table.
         assert_eq!(t.num_fresh(), 1);
         // A second source from the same state restarts at the same cursor.
         let mut again = t.fresh_source();
         assert_eq!(again.fresh(), s1);
+        // Folding the first source back moves the table past both nulls.
+        t.advance_past(&source);
+        assert_eq!(t.num_fresh(), 3);
+        assert_ne!(t.fresh(), s2);
+    }
+
+    #[test]
+    fn skip_past_moves_the_cursor_above_input_nulls() {
+        let mut t = SymbolTable::new();
+        let constant = t.symbol("a");
+        let mut source = t.fresh_source();
+        let taken = {
+            let mut other = t.fresh_source();
+            other.fresh();
+            other.fresh()
+        };
+        source.skip_past(constant);
+        source.skip_past(taken);
+        let minted = source.fresh();
+        assert!(t.is_fresh(minted));
+        assert!(minted > taken);
+        // Skipping a lower null never moves the cursor back.
+        source.skip_past(taken);
+        assert!(source.fresh() > minted);
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Workload generators shared by the Criterion benchmarks.
+//! Workload generators shared by the `trajectory` suite (see
+//! [`trajectory`]) and the workspace's tests.
 //!
 //! Every generator is deterministic in an explicit seed so benchmark runs are
-//! reproducible.  Each experiment id from `DESIGN.md` maps to one bench
-//! target (see `benches/`):
+//! reproducible.  The experiment ids from `DESIGN.md` the workloads serve:
 //!
-//! | Experiment | Bench target | Paper claim being reproduced |
-//! |---|---|---|
-//! | E1 | `implication` | Theorem 9: PD implication in polynomial time (ALG) |
-//! | E2 | `fd_implication` | Section 5.3: FD implication three ways |
-//! | E3 | `identity` | Theorem 10: identity recognition is cheaper than ALG |
-//! | E4 | `graph_connectivity` | Example e / Theorem 4: PDs express connectivity |
-//! | E5 | `consistency` | Theorems 6, 7, 12: polynomial consistency tests |
-//! | E6 / F3 | `cad_np` | Theorem 11: CAD+EAP consistency is NP-complete |
-//! | F1, F2 | `figures` | Figures 1 and 2 regenerated from scratch |
-//! | E7 | `ablation` | Design-choice ablations (naïve vs worklist ALG, sum via chaining vs union–find) |
-//! | E8 | `word_problem` | Cached `ImplicationEngine`: build-once-query-many vs rebuild-per-goal, engine vs reference strategies |
-//! | E9 | `session` | Session facade: warm cached-engine queries vs free-function rebuilds vs cold sessions |
+//! | Experiment | Paper claim being reproduced |
+//! |---|---|
+//! | E1 | Theorem 9: PD implication in polynomial time (ALG) |
+//! | E2 | Section 5.3: FD implication three ways |
+//! | E3 | Theorem 10: identity recognition is cheaper than ALG |
+//! | E4 | Example e / Theorem 4: PDs express connectivity |
+//! | E5 | Theorems 6, 7, 12: polynomial consistency tests |
+//! | E6 / F3 | Theorem 11: CAD+EAP consistency is NP-complete |
+//! | F1, F2 | Figures 1 and 2 regenerated from scratch |
+//! | E7 | Design-choice ablations (naïve vs engine ALG, sum via chaining vs union–find) |
+//! | E8 | Cached `ImplicationEngine`: build-once-query-many vs rebuild-per-goal |
+//! | E9 | Session facade: warm cached-engine queries vs free-function rebuilds vs cold sessions |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -869,24 +869,62 @@ mod tests {
     fn fd_workload_goal_is_implied() {
         let w = random_fd_workload(8, 4, 3);
         assert!(ps_relation::fd_closure::implies(&w.fds, &w.goal));
+        // The E2 sizes: the semigroup route agrees at every size, and the
+        // lattice route on the sizes ALG handles quickly.
+        for n in [8usize, 16, 32, 64, 128] {
+            let w = random_fd_workload(n, n / 2, 7);
+            assert!(ps_relation::fd_closure::implies(&w.fds, &w.goal), "n={n}");
+            assert!(
+                ps_core::fd_bridge::fd_implies_via_semigroup(&w.fds, &w.goal),
+                "n={n}"
+            );
+            if n <= 32 {
+                assert!(
+                    ps_core::fd_bridge::fd_implies_via_lattice(
+                        &w.fds,
+                        &w.goal,
+                        Algorithm::Worklist
+                    ),
+                    "n={n}"
+                );
+            }
+        }
     }
 
     #[test]
     fn identity_workload_is_an_identity() {
-        for depth in [1usize, 3, 5] {
+        for depth in [1usize, 2, 3, 4, 5, 6, 8, 10] {
             let (_u, arena, eq) = identity_workload(depth);
-            assert!(free_order::is_identity(&arena, eq));
+            assert!(free_order::is_identity(&arena, eq), "depth {depth}");
+        }
+        // An identity holds in every partition interpretation, here a random
+        // one over a shared population of 256 with 16 blocks per attribute.
+        for depth in [2usize, 4, 6] {
+            let (mut universe, arena, eq) = identity_workload(depth);
+            let mut symbols = SymbolTable::new();
+            let interpretation = random_interpretation(
+                &mut universe,
+                &mut symbols,
+                &["A0", "A1", "A2", "A3"],
+                256,
+                16,
+                depth as u64,
+            );
+            assert!(
+                interpretation.satisfies_pd(&arena, eq).unwrap(),
+                "depth {depth}"
+            );
         }
     }
 
     #[test]
     fn consistency_workload_is_consistent() {
-        let mut w = consistency_workload(4, 16, 7);
+        let w = consistency_workload(4, 16, 7);
         let fds: Vec<Fd> = w.fpds.iter().map(Fpd::to_fd).collect();
         assert!(ps_relation::consistency::weak_instance_consistent(
             &w.database,
             &fds,
-            &mut w.symbols
+            &w.symbols
         ));
     }
 
@@ -908,7 +946,7 @@ mod tests {
             .collect();
         for (d, db) in w.databases.iter().enumerate() {
             let consistent =
-                ps_relation::consistency::weak_instance_consistent(db, &fds, &mut w.symbols);
+                ps_relation::consistency::weak_instance_consistent(db, &fds, &w.symbols);
             assert_eq!(consistent, d % 2 == 0, "database {d}");
         }
     }
@@ -970,12 +1008,7 @@ mod tests {
             let mut rebuild_firings = 0usize;
             let mut reference_verdicts = Vec::new();
             for &goal in &w.goals {
-                let order = DerivedOrder::build(
-                    &w.arena,
-                    &w.equations,
-                    &[goal.lhs, goal.rhs],
-                    Algorithm::Worklist,
-                );
+                let order = DerivedOrder::build(&w.arena, &w.equations, &[goal.lhs, goal.rhs]);
                 rebuild_firings += order.rule_firings();
                 reference_verdicts.push(order.entails(goal).expect("goal terms are in V"));
             }
@@ -1025,6 +1058,27 @@ mod tests {
         }
     }
 
+    /// The indexed chase and its full-rescan reference on one workload.
+    fn chase_both(w: &ChaseWorkload) -> (ps_relation::ChaseOutcome, ps_relation::ChaseOutcome) {
+        let attrs = w.database.all_attributes();
+        let indexed = ps_relation::chase_fds_over_frozen(
+            &w.database,
+            &attrs,
+            &w.fds,
+            &w.symbols,
+            &mut w.symbols.fresh_source(),
+            &mut ps_relation::ChaseScratch::default(),
+        );
+        let naive = ps_relation::chase_fds_naive(
+            &w.database,
+            &attrs,
+            &w.fds,
+            &w.symbols,
+            &mut w.symbols.fresh_source(),
+        );
+        (indexed, naive)
+    }
+
     /// The acceptance gate for the indexed, worklist-driven chase: on the
     /// propagation-chain fixture (where the full-rescan engine needs one
     /// global round per chain level), the worklist engine agrees on the
@@ -1033,10 +1087,7 @@ mod tests {
     fn indexed_chase_does_strictly_less_work_than_full_rescans() {
         for (levels, rows) in [(4usize, 4usize), (6, 8), (8, 16)] {
             let w = chase_chain_workload(levels, rows);
-            let mut symbols = w.symbols.clone();
-            let indexed = ps_relation::chase_fds(&w.database, &w.fds, &mut symbols);
-            let mut symbols = w.symbols.clone();
-            let naive = ps_relation::chase_fds_naive(&w.database, &w.fds, &mut symbols);
+            let (indexed, naive) = chase_both(&w);
             assert_eq!(indexed.consistent, naive.consistent, "{levels}x{rows}");
             assert!(indexed.consistent, "the chain fixture is consistent");
             assert_eq!(
@@ -1060,10 +1111,7 @@ mod tests {
         let mut inconsistent = 0usize;
         for seed in 0..24u64 {
             let w = random_chase_workload(6, 2, 3, 6, 2, seed);
-            let mut symbols = w.symbols.clone();
-            let indexed = ps_relation::chase_fds(&w.database, &w.fds, &mut symbols);
-            let mut symbols = w.symbols.clone();
-            let naive = ps_relation::chase_fds_naive(&w.database, &w.fds, &mut symbols);
+            let (indexed, naive) = chase_both(&w);
             assert_eq!(indexed.consistent, naive.consistent, "seed {seed}");
             match indexed.consistent {
                 true => consistent += 1,

@@ -847,22 +847,30 @@ fn run_chase_hot_path(s: &SuiteScale, seed: u64) -> WorkloadRecord {
         crate::random_chase_workload(10, 4, s.chase_rows, s.chase_rows / 2 + 2, 4, seed ^ 0xC4A);
     let rows: u64 = w.database.relations().iter().map(|r| r.len() as u64).sum();
 
+    let attrs = w.database.all_attributes();
+    let chase = |scratch: &mut ps_relation::ChaseScratch| {
+        let mut fresh = w.symbols.fresh_source();
+        ps_relation::chase_fds_over_frozen(
+            &w.database,
+            &attrs,
+            &w.fds,
+            &w.symbols,
+            &mut fresh,
+            scratch,
+        )
+    };
     let mut scratch = ps_relation::ChaseScratch::default();
     let mut row_visits = 0u64;
     let start = Instant::now();
     for _ in 0..s.chase_reps {
-        let mut symbols = w.symbols.clone();
-        let outcome = ps_relation::chase_fds_with(&w.database, &w.fds, &mut symbols, &mut scratch);
-        row_visits += outcome.row_visits as u64;
+        row_visits += chase(&mut scratch).row_visits as u64;
     }
     let wall = start.elapsed().as_nanos() as u64;
 
     let mut baseline_visits = 0u64;
     let start = Instant::now();
     for _ in 0..s.chase_reps {
-        let mut symbols = w.symbols.clone();
-        let outcome = ps_relation::chase_fds(&w.database, &w.fds, &mut symbols);
-        baseline_visits += outcome.row_visits as u64;
+        baseline_visits += chase(&mut ps_relation::ChaseScratch::default()).row_visits as u64;
     }
     let baseline_wall = start.elapsed().as_nanos() as u64;
     assert_eq!(

@@ -122,10 +122,22 @@ fn worklist_chase_beats_naive_at_1e5_rows() {
     let rows: usize = w.database.relations().iter().map(|r| r.len()).sum();
     assert_eq!(rows, 100_000, "the fixture must hold 1e5 tuples");
 
-    let mut symbols = w.symbols.clone();
-    let indexed = ps_relation::chase_fds(&w.database, &w.fds, &mut symbols);
-    let mut symbols = w.symbols.clone();
-    let naive = ps_relation::chase_fds_naive(&w.database, &w.fds, &mut symbols);
+    let attrs = w.database.all_attributes();
+    let indexed = ps_relation::chase_fds_over_frozen(
+        &w.database,
+        &attrs,
+        &w.fds,
+        &w.symbols,
+        &mut w.symbols.fresh_source(),
+        &mut ps_relation::ChaseScratch::default(),
+    );
+    let naive = ps_relation::chase_fds_naive(
+        &w.database,
+        &attrs,
+        &w.fds,
+        &w.symbols,
+        &mut w.symbols.fresh_source(),
+    );
 
     assert!(indexed.consistent && naive.consistent);
     assert_eq!(indexed.steps, naive.steps, "the FD chase is confluent");

@@ -18,7 +18,8 @@
 //!    polynomial time — [`consistent_with_pds`].
 //!
 //! Lemma 12.1's constructive argument (adding bridging tuples to repair
-//! violated sum constraints) is implemented by [`repair_sum_violations`], so
+//! violated sum constraints) is implemented by
+//! [`repair_sum_violations_frozen`], so
 //! the tests can exhibit an explicit weak instance satisfying the *whole* of
 //! `E⁺`, not just `F`.
 
@@ -28,8 +29,7 @@ use ps_base::{AttrSet, Attribute, FreshSymbols, Symbol, SymbolTable, Universe};
 use ps_lattice::{Algorithm, Equation, TermArena, TermNode};
 use ps_partition::UnionFind;
 use ps_relation::{
-    chase_fds_over_frozen, chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database,
-    Fd, Relation,
+    chase_fds_over_frozen, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, Relation,
 };
 
 #[cfg(debug_assertions)]
@@ -368,8 +368,8 @@ pub struct ConsistencyOutcome {
     /// The raw chase outcome.
     pub chase: ChaseOutcome,
     /// The representative weak instance produced by the chase, when
-    /// consistent.  It satisfies `F`; apply [`repair_sum_violations`] to also
-    /// satisfy the sum constraints.
+    /// consistent.  It satisfies `F`; apply [`repair_sum_violations_frozen`]
+    /// to also satisfy the sum constraints.
     pub weak_instance: Option<Relation>,
 }
 
@@ -417,27 +417,33 @@ pub fn consistent_with_pds(
 ) -> Result<ConsistencyOutcome> {
     let normalized = normalize_pds(pds, arena, universe);
     let closed = close_constraints(&normalized, arena, algorithm);
-    Ok(consistent_with_closed(db, &closed, symbols))
+    let mut fresh = symbols.fresh_source();
+    let outcome = consistent_with_closed_frozen(
+        db,
+        &closed,
+        symbols,
+        &mut fresh,
+        &mut ChaseScratch::default(),
+    );
+    symbols.advance_past(&fresh);
+    Ok(outcome)
 }
 
 /// The chase half of [`consistent_with_pds`], for callers that cache the
-/// normalized/closed constraint system per set (the session layer): chases
-/// `db` against an already-closed system and packages the outcome.
-pub fn consistent_with_closed(
+/// closed constraint system per set (the session and snapshot layers):
+/// chases `db` against an already-closed system and packages the outcome.
+///
+/// The symbol table is frozen (`&`-shared): padding nulls come from the
+/// caller's detached [`FreshSymbols`] source and `scratch` supplies the
+/// reusable chase buffers, so snapshot workers can chase independent
+/// databases in parallel against one interner.  The chase consults the
+/// table only through `is_constant`, a pure tag-bit test, so the verdict
+/// and `row_visits` do not depend on the source's cursor.
+pub fn consistent_with_closed_frozen(
     db: &Database,
     closed: &ClosedConstraints,
-    symbols: &mut SymbolTable,
-) -> ConsistencyOutcome {
-    consistent_with_closed_scratch(db, closed, symbols, &mut ChaseScratch::default())
-}
-
-/// [`consistent_with_closed`] with caller-provided chase buffers: the
-/// session layer holds one [`ChaseScratch`] across queries so that repeated
-/// consistency tests reuse the chase's index and worklist allocations.
-pub fn consistent_with_closed_scratch(
-    db: &Database,
-    closed: &ClosedConstraints,
-    symbols: &mut SymbolTable,
+    symbols: &SymbolTable,
+    fresh: &mut FreshSymbols,
     scratch: &mut ChaseScratch,
 ) -> ConsistencyOutcome {
     // The chase runs over the database's attributes together with every
@@ -447,38 +453,7 @@ pub fn consistent_with_closed_scratch(
         attrs.insert(a);
     }
 
-    let chase = chase_fds_over_with(db, &attrs, &closed.fds, symbols, scratch);
-    package_chase_outcome(chase, closed, attrs)
-}
-
-/// [`consistent_with_closed_scratch`] against a *frozen* symbol table:
-/// padding nulls come from the caller's detached [`FreshSymbols`] source, so
-/// the whole Theorem 12 test runs with only `&SymbolTable` — the entry point
-/// snapshot workers use to chase independent databases in parallel against
-/// one shared interner.  Verdict and `row_visits` are identical to the
-/// mutable variant (the chase consults the table only through
-/// `is_constant`, a pure tag-bit test).
-pub fn consistent_with_closed_frozen(
-    db: &Database,
-    closed: &ClosedConstraints,
-    symbols: &SymbolTable,
-    fresh: &mut FreshSymbols,
-    scratch: &mut ChaseScratch,
-) -> ConsistencyOutcome {
-    let mut attrs = db.all_attributes();
-    for a in closed.attributes.iter() {
-        attrs.insert(a);
-    }
-
     let chase = chase_fds_over_frozen(db, &attrs, &closed.fds, symbols, fresh, scratch);
-    package_chase_outcome(chase, closed, attrs)
-}
-
-fn package_chase_outcome(
-    chase: ChaseOutcome,
-    closed: &ClosedConstraints,
-    attrs: AttrSet,
-) -> ConsistencyOutcome {
     let weak_instance = if chase.consistent {
         chase.weak_instance("weak_instance", &attrs)
     } else {
@@ -558,19 +533,10 @@ pub fn relation_satisfies_sum_constraints(relation: &Relation, sums: &[SumConstr
 /// practice a handful of rounds suffices for finite inputs, so the loop is
 /// bounded by `max_rounds` and the second component of the return value
 /// reports whether a fixpoint (all constraints satisfied) was reached.
-pub fn repair_sum_violations(
-    weak_instance: &Relation,
-    fds: &[Fd],
-    sums: &[SumConstraint],
-    symbols: &mut SymbolTable,
-    max_rounds: usize,
-) -> (Relation, bool) {
-    repair_sum_violations_by(weak_instance, fds, sums, || symbols.fresh(), max_rounds)
-}
-
-/// [`repair_sum_violations`] minting the bridging tuples' fresh entries from
-/// a detached [`FreshSymbols`] source instead of the table — the repair step
-/// of the frozen (`&SymbolTable`) pipeline.
+///
+/// The bridging tuples' fresh entries are minted from the caller's detached
+/// [`FreshSymbols`] source, moved first past every null already in
+/// `weak_instance` so a bridge never reuses one of its nulls.
 pub fn repair_sum_violations_frozen(
     weak_instance: &Relation,
     fds: &[Fd],
@@ -578,16 +544,11 @@ pub fn repair_sum_violations_frozen(
     fresh: &mut FreshSymbols,
     max_rounds: usize,
 ) -> (Relation, bool) {
-    repair_sum_violations_by(weak_instance, fds, sums, || fresh.fresh(), max_rounds)
-}
-
-fn repair_sum_violations_by(
-    weak_instance: &Relation,
-    fds: &[Fd],
-    sums: &[SumConstraint],
-    mut fresh: impl FnMut() -> Symbol,
-    max_rounds: usize,
-) -> (Relation, bool) {
+    for pos in 0..weak_instance.scheme().arity() {
+        for &sym in weak_instance.column(pos) {
+            fresh.skip_past(sym);
+        }
+    }
     let mut current = weak_instance.clone();
     for _ in 0..max_rounds {
         match first_sum_violation(&current, sums) {
@@ -611,7 +572,7 @@ fn repair_sum_violations_by(
                             } else if b_plus.contains(attr) {
                                 row2.get(attr).expect("attr in scheme")
                             } else {
-                                fresh()
+                                fresh.fresh()
                             }
                         })
                         .collect()
@@ -843,13 +804,52 @@ mod tests {
         // The chased instance satisfies F but may violate the sum constraint…
         assert!(w.satisfies_all_fds(&outcome.fds));
         // …which the Lemma 12.1 repair fixes.
-        let (repaired, converged) =
-            repair_sum_violations(&w, &outcome.fds, &outcome.sums, &mut f.symbols, 32);
+        let (repaired, converged) = repair_sum_violations_frozen(
+            &w,
+            &outcome.fds,
+            &outcome.sums,
+            &mut f.symbols.fresh_source(),
+            32,
+        );
         assert!(converged);
         assert!(relation_satisfies_sum_constraints(&repaired, &outcome.sums));
         assert!(repaired.satisfies_all_fds(&outcome.fds));
         assert!(db.has_weak_instance(&repaired));
         assert!(repaired.len() > w.len());
+    }
+
+    #[test]
+    fn repair_never_reuses_nulls_of_its_input() {
+        let mut f = fixture();
+        let [a, b, c, d] = ["A", "B", "C", "D"].map(|n| f.universe.attr(n));
+        // A weak instance carrying a null the table never issued (as one
+        // minted by a snapshot worker would): t1 = (a1, b1, c, ⊥0).
+        let null = f.symbols.fresh_source().fresh();
+        let mut w = Relation::new(ps_relation::RelationScheme::new(
+            "W",
+            AttrSet::from(vec![a, b, c, d]),
+        ));
+        let [a1, b1, a2, b2, cc, d2] =
+            ["a1", "b1", "a2", "b2", "c", "d2"].map(|n| f.symbols.symbol(n));
+        w.insert_values(&[a1, b1, cc, null]).unwrap();
+        w.insert_values(&[a2, b2, cc, d2]).unwrap();
+        let sum = SumConstraint {
+            target: c,
+            left: a,
+            right: b,
+        };
+        let (repaired, converged) =
+            repair_sum_violations_frozen(&w, &[], &[sum], &mut f.symbols.fresh_source(), 8);
+        assert!(converged);
+        // The bridge copies A from t1 and B from t2; its C and D entries
+        // must be new nulls.
+        assert_eq!(repaired.len(), 3);
+        let bridge = repaired.row(2);
+        for attr in [c, d] {
+            let value = bridge.get(attr).unwrap();
+            assert!(f.symbols.is_fresh(value));
+            assert_ne!(value, null, "the bridge reused the input's null");
+        }
     }
 
     #[test]
@@ -965,8 +965,13 @@ mod tests {
         .unwrap();
         assert!(outcome.consistent);
         let w = outcome.weak_instance.clone().unwrap();
-        let (repaired, converged) =
-            repair_sum_violations(&w, &outcome.fds, &outcome.sums, &mut f.symbols, 32);
+        let (repaired, converged) = repair_sum_violations_frozen(
+            &w,
+            &outcome.fds,
+            &outcome.sums,
+            &mut f.symbols.fresh_source(),
+            32,
+        );
         assert!(converged);
         assert!(repaired.satisfies_all_fds(&outcome.fds));
         assert!(relation_satisfies_sum_constraints(&repaired, &outcome.sums));

@@ -83,8 +83,15 @@ pub fn atom_order_closure(
     algorithm: Algorithm,
 ) -> HashSet<(Attribute, Attribute)> {
     let extra_terms: Vec<_> = extra_attributes.iter().map(|&a| arena.atom(a)).collect();
-    let order = word_problem::DerivedOrder::build(arena, e, &extra_terms, algorithm);
-    atom_pairs(arena, order.atom_consequences(arena))
+    let consequences = match algorithm {
+        Algorithm::NaiveFixpoint => {
+            word_problem::DerivedOrder::build(arena, e, &extra_terms).atom_consequences(arena)
+        }
+        Algorithm::Worklist => {
+            ImplicationEngine::with_goal_terms(arena, e, &extra_terms).atom_consequences(arena)
+        }
+    };
+    atom_pairs(arena, consequences)
 }
 
 /// The cached variant of [`atom_order_closure`]: reads the atom consequences

@@ -19,9 +19,7 @@ use ps_lattice::{Algorithm, Equation, TermArena};
 use ps_relation::{Database, Relation};
 
 use crate::canonical::{canonical_interpretation, canonical_relation};
-use crate::consistency::{
-    consistent_with_pds, repair_sum_violations, repair_sum_violations_frozen, ConsistencyOutcome,
-};
+use crate::consistency::{consistent_with_pds, repair_sum_violations_frozen, ConsistencyOutcome};
 use crate::dependency::{fds_of_fpds, Fpd};
 use crate::{PartitionInterpretation, Result};
 
@@ -51,12 +49,22 @@ pub fn satisfiable_with_fpds(
     symbols: &mut SymbolTable,
 ) -> Result<SatisfiabilityWitness> {
     let fds = fds_of_fpds(fpds);
-    let outcome = ps_relation::chase_fds(db, &fds, symbols);
+    let attrs = db.all_attributes();
+    let mut fresh = symbols.fresh_source();
+    let outcome = ps_relation::chase_fds_over_frozen(
+        db,
+        &attrs,
+        &fds,
+        symbols,
+        &mut fresh,
+        &mut ps_relation::ChaseScratch::default(),
+    );
+    symbols.advance_past(&fresh);
     if !outcome.consistent {
         return Ok(SatisfiabilityWitness::unsatisfiable());
     }
     let weak_instance = outcome
-        .weak_instance("weak_instance", &db.all_attributes())
+        .weak_instance("weak_instance", &attrs)
         .expect("consistent chase produces rows");
     let interpretation = interpretation_from_weak_instance(&weak_instance)?;
     Ok(SatisfiabilityWitness {
@@ -88,33 +96,20 @@ pub fn satisfiable_with_pds(
     symbols: &mut SymbolTable,
 ) -> Result<SatisfiabilityWitness> {
     let outcome = consistent_with_pds(db, pds, arena, universe, symbols, Algorithm::Worklist)?;
-    witness_from_consistency(outcome, symbols)
+    let mut fresh = symbols.fresh_source();
+    let witness = witness_from_consistency_frozen(outcome, &mut fresh);
+    symbols.advance_past(&fresh);
+    witness
 }
 
 /// The witness-construction tail of [`satisfiable_with_pds`]: upgrades a
 /// [`ConsistencyOutcome`] into the Theorem 7 decision + witness forms (sum
-/// repair bounded at 64 rounds, then `I(w)`).  Shared by the free function
-/// above and by the session layer, which produces the outcome from its
-/// cached closed constraint system.
-pub fn witness_from_consistency(
-    outcome: ConsistencyOutcome,
-    symbols: &mut SymbolTable,
-) -> Result<SatisfiabilityWitness> {
-    if !outcome.consistent {
-        return Ok(SatisfiabilityWitness::unsatisfiable());
-    }
-    let chased = outcome
-        .weak_instance
-        .expect("consistent chase produces rows");
-    let (weak_instance, converged) =
-        repair_sum_violations(&chased, &outcome.fds, &outcome.sums, symbols, 64);
-    witness_from_repair(weak_instance, converged)
-}
-
-/// [`witness_from_consistency`] for the frozen (`&SymbolTable`-free)
-/// pipeline: the Lemma 12.1 repair mints its fresh entries from the caller's
-/// detached [`FreshSymbols`] source.  Verdict and convergence behaviour are
-/// identical; only the numeric identity of repair nulls can differ.
+/// repair bounded at 64 rounds, then `I(w)`).  The Lemma 12.1 repair mints
+/// its fresh entries from the caller's detached [`FreshSymbols`] source —
+/// pass the source the chase used, so the repair continues its numbering.
+/// Shared by the free function above and by the session and snapshot
+/// layers, which produce the outcome from their cached closed constraint
+/// system.
 pub fn witness_from_consistency_frozen(
     outcome: ConsistencyOutcome,
     fresh: &mut FreshSymbols,

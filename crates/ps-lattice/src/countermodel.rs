@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 
 use ps_base::Attribute;
 
-use crate::word_problem::{Algorithm, DerivedOrder};
+use crate::word_problem::{Algorithm, SaturatedOrder};
 use crate::{Equation, FiniteLattice, TermArena, TermId, TermNode};
 
 /// A finite lattice with constants witnessing `E ⊭ goal`.
@@ -152,15 +152,11 @@ pub fn finite_countermodel(
     // ------------------------------------------------------------------
     // 3. The derived order ≤_E over the candidates (algorithm ALG).
     // ------------------------------------------------------------------
-    let order = DerivedOrder::build(arena, equations, &candidates, algorithm);
-    // Every queried term is a candidate, and all candidates were passed as
-    // `extra_terms`, so `None` (term outside V) would be a construction bug
-    // here — surface it instead of conflating it with `false`.
-    let leq = |p: TermId, q: TermId| {
-        order
-            .leq(p, q)
-            .expect("candidates are in V by construction")
-    };
+    // Every queried term is a candidate, and all candidates are passed as
+    // extra terms, so a term outside V would be a construction bug, which
+    // `SaturatedOrder::leq` surfaces instead of conflating it with `false`.
+    let order = SaturatedOrder::build(arena, equations, &candidates, algorithm);
+    let leq = |p: TermId, q: TermId| order.leq(p, q);
 
     // Quotient by mutual ≤_E.
     let mut representatives: Vec<TermId> = Vec::new();

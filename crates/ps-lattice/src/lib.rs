@@ -23,9 +23,10 @@
 //!   [`ImplicationEngine`]: built once per constraint set, queried for
 //!   arbitrarily many goals, incrementally extendable, with rules firing as
 //!   word-parallel bitset row operations.  Algorithm `ALG` of Section 5.2 is
-//!   also implemented as two reference engines — the paper's literal `O(n⁴)`
-//!   repeat-until-stable fixpoint and a worklist propagation
-//!   ([`Algorithm`]) — which property tests pin the engine against.
+//!   also implemented as the paper's literal `O(n⁴)` repeat-until-stable
+//!   fixpoint ([`DerivedOrder`]), the reference property tests pin the
+//!   engine against; [`Algorithm`] picks between the two in the one-shot
+//!   conveniences.
 //! * [`FiniteLattice`] — explicitly tabulated finite lattices with axiom
 //!   checking, distributivity/modularity tests, generated sublattices,
 //!   isomorphism testing and term evaluation; used to reproduce Figures 1

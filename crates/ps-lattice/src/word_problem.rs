@@ -39,13 +39,12 @@
 //!   work done so the benchmark suite can assert that build-once-query-many
 //!   does strictly less work than rebuilding per goal.
 //! * [`DerivedOrder`] — the reference implementation, rebuilt from scratch
-//!   per instance.  Two saturation strategies are provided (see
-//!   [`Algorithm`]): the paper's literal repeat-until-no-change fixpoint
-//!   (`O(n⁴)` with the straightforward implementation) and an incremental
-//!   worklist propagation that fires only the rule instances affected by
-//!   each newly added arc.  Property tests pin the engine to these
-//!   references; the benchmark suite compares all three (experiment E7 and
-//!   the `word_problem` bench group).
+//!   per instance by the paper's literal repeat-until-no-change fixpoint
+//!   (`O(n⁴)` with the straightforward implementation).  Property tests pin
+//!   the engine to it.
+//!
+//! The one-shot conveniences ([`entails`], [`entails_many`], [`leq_many`],
+//! [`entails_leq`]) take an [`Algorithm`] naming which of the two answers.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -57,11 +56,13 @@ use crate::{BitMatrix, Equation, TermArena, TermId, TermNode};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// The paper's literal "repeat until no new arcs are added" loop, scanning
-    /// all rule instances each round.  Straightforward `O(n⁴)`.
+    /// all rule instances each round ([`DerivedOrder`]).  Straightforward
+    /// `O(n⁴)`.
     NaiveFixpoint,
-    /// Incremental worklist propagation: each newly inserted arc triggers only
-    /// the rule instances it can participate in.  Same closure, lower constant
-    /// and better asymptotics in practice.
+    /// Incremental worklist propagation ([`ImplicationEngine`]): each newly
+    /// inserted arc fires only the rule instances it can participate in, as
+    /// word-parallel row operations.  Same closure, lower constant and better
+    /// asymptotics in practice.
     #[default]
     Worklist,
 }
@@ -79,20 +80,13 @@ pub struct DerivedOrder {
     dense: HashMap<TermId, usize>,
     /// `gamma[i][j]` iff `terms[i] ≤_E terms[j]` is derivable.
     gamma: BitMatrix,
-    /// Number of saturation rounds (naïve) or processed arcs (worklist).
-    work: usize,
 }
 
 impl DerivedOrder {
     /// Runs algorithm `ALG` for the equations `E = equations`, making sure
     /// every term in `extra_terms` (e.g. the two sides of a goal equation)
     /// is included in the subexpression set `V`.
-    pub fn build(
-        arena: &TermArena,
-        equations: &[Equation],
-        extra_terms: &[TermId],
-        algorithm: Algorithm,
-    ) -> Self {
+    pub fn build(arena: &TermArena, equations: &[Equation], extra_terms: &[TermId]) -> Self {
         // --- Collect V: all subterms of E and the extra terms. ---
         let mut terms: Vec<TermId> = Vec::new();
         let mut dense: HashMap<TermId, usize> = HashMap::new();
@@ -120,28 +114,17 @@ impl DerivedOrder {
         for i in 0..n {
             gamma.set(i, i);
         }
-        let mut seeds: Vec<(usize, usize)> = Vec::new();
         for eq in equations {
             let (i, j) = (dense[&eq.lhs], dense[&eq.rhs]);
-            seeds.push((i, j));
-            seeds.push((j, i));
+            gamma.set(i, j);
+            gamma.set(j, i);
         }
-
-        let work = match algorithm {
-            Algorithm::NaiveFixpoint => {
-                for (i, j) in seeds {
-                    gamma.set(i, j);
-                }
-                saturate_naive(arena, &terms, &dense, &mut gamma)
-            }
-            Algorithm::Worklist => saturate_worklist(arena, &terms, &dense, &mut gamma, seeds),
-        };
+        saturate_naive(arena, &terms, &dense, &mut gamma);
 
         DerivedOrder {
             terms,
             dense,
             gamma,
-            work,
         }
     }
 
@@ -194,12 +177,6 @@ impl DerivedOrder {
         self.gamma.count_ones()
     }
 
-    /// A rough work counter (rounds for the naïve strategy, processed arcs
-    /// for the worklist strategy); exposed for the benchmark reports.
-    pub fn work(&self) -> usize {
-        self.work
-    }
-
     /// Number of rule firings performed while saturating `Γ`.
     ///
     /// A *firing* is a rule application that actually inserted a new arc
@@ -239,13 +216,13 @@ impl DerivedOrder {
     }
 }
 
-/// The paper's repeat-until-stable saturation.  Returns the number of rounds.
+/// The paper's repeat-until-stable saturation.
 fn saturate_naive(
     arena: &TermArena,
     terms: &[TermId],
     dense: &HashMap<TermId, usize>,
     gamma: &mut BitMatrix,
-) -> usize {
+) {
     let n = terms.len();
     // Pre-resolve the children of every composite term in V.
     let composites: Vec<(usize, usize, usize, bool)> = terms
@@ -258,9 +235,7 @@ fn saturate_naive(
         })
         .collect();
 
-    let mut rounds = 0;
     loop {
-        rounds += 1;
         let before = gamma.count_ones();
 
         // Rules 2–5: scan every composite against every s ∈ V.
@@ -292,104 +267,9 @@ fn saturate_naive(
         gamma.transitive_closure();
 
         if gamma.count_ones() == before {
-            return rounds;
+            return;
         }
     }
-}
-
-/// Incremental worklist saturation.  Returns the number of arcs processed.
-fn saturate_worklist(
-    arena: &TermArena,
-    terms: &[TermId],
-    dense: &HashMap<TermId, usize>,
-    gamma: &mut BitMatrix,
-    seeds: Vec<(usize, usize)>,
-) -> usize {
-    let n = terms.len();
-
-    // For every term index, the composite terms it occurs in as a direct child.
-    #[derive(Default, Clone)]
-    struct Occurrences {
-        /// (composite, sibling) pairs where the composite is a meet.
-        meets: Vec<(usize, usize)>,
-        /// (composite, sibling) pairs where the composite is a join.
-        joins: Vec<(usize, usize)>,
-    }
-    let mut occ: Vec<Occurrences> = vec![Occurrences::default(); n];
-    for (i, &t) in terms.iter().enumerate() {
-        match arena.node(t) {
-            TermNode::Meet(l, r) => {
-                let (dl, dr) = (dense[&l], dense[&r]);
-                occ[dl].meets.push((i, dr));
-                occ[dr].meets.push((i, dl));
-            }
-            TermNode::Join(l, r) => {
-                let (dl, dr) = (dense[&l], dense[&r]);
-                occ[dl].joins.push((i, dr));
-                occ[dr].joins.push((i, dl));
-            }
-            TermNode::Atom(_) => {}
-        }
-    }
-
-    let mut queue: Vec<(usize, usize)> = Vec::new();
-    let push = |gamma: &mut BitMatrix, queue: &mut Vec<(usize, usize)>, u: usize, v: usize| {
-        if gamma.set(u, v) {
-            queue.push((u, v));
-        }
-    };
-
-    // Reflexive arcs already set by the caller; enqueue them so rules can fire.
-    for i in 0..n {
-        queue.push((i, i));
-    }
-    for (u, v) in seeds {
-        push(gamma, &mut queue, u, v);
-    }
-
-    let mut processed = 0;
-    while let Some((u, v)) = queue.pop() {
-        processed += 1;
-
-        // Rule 7 (transitivity): (u,v) with existing (v,w) gives (u,w);
-        // existing (w,u) gives (w,v).
-        let succs: Vec<usize> = gamma.iter_row(v).collect();
-        for w in succs {
-            push(gamma, &mut queue, u, w);
-        }
-        for w in 0..n {
-            if gamma.get(w, u) {
-                push(gamma, &mut queue, w, v);
-            }
-        }
-
-        // Rules 3 & 2: u is a child of a composite; the new arc (u, v) may
-        // let the composite reach v.
-        for &(c, _sibling) in &occ[u].meets {
-            // rule 3: (u,v) ⟹ (c,v) for meets c = u*sibling (either child suffices).
-            push(gamma, &mut queue, c, v);
-        }
-        for &(c, sibling) in &occ[u].joins {
-            // rule 2: (u,v) and (sibling,v) ⟹ (c,v) for joins.
-            if gamma.get(sibling, v) {
-                push(gamma, &mut queue, c, v);
-            }
-        }
-
-        // Rules 5 & 4: v is a child of a composite; the new arc (u, v) may
-        // let u reach the composite.
-        for &(c, _sibling) in &occ[v].joins {
-            // rule 5: (u,v) ⟹ (u,c) for joins c = v+sibling.
-            push(gamma, &mut queue, u, c);
-        }
-        for &(c, sibling) in &occ[v].meets {
-            // rule 4: (u,v) and (u,sibling) ⟹ (u,c) for meets.
-            if gamma.get(u, sibling) {
-                push(gamma, &mut queue, u, c);
-            }
-        }
-    }
-    processed
 }
 
 /// Collects all `(A, B)` atom pairs with an `A ≤_E B` arc in `gamma` —
@@ -1030,9 +910,46 @@ impl ImplicationEngine {
     }
 }
 
-/// Batched convenience over the reference engines: builds one
-/// [`DerivedOrder`] whose `V` covers every goal and answers them all.
-/// (The cached counterpart is [`ImplicationEngine::entails_many`].)
+/// `≤_E` over `V` = the subterms of `E` and of some extra terms, saturated
+/// by the engine an [`Algorithm`] names — the one-shot conveniences below
+/// and the countermodel search build their order through this.
+pub(crate) enum SaturatedOrder {
+    /// The paper's fixpoint.
+    Fixpoint(DerivedOrder),
+    /// The production engine.
+    Engine(Box<ImplicationEngine>),
+}
+
+impl SaturatedOrder {
+    pub(crate) fn build(
+        arena: &TermArena,
+        equations: &[Equation],
+        extra_terms: &[TermId],
+        algorithm: Algorithm,
+    ) -> Self {
+        match algorithm {
+            Algorithm::NaiveFixpoint => {
+                SaturatedOrder::Fixpoint(DerivedOrder::build(arena, equations, extra_terms))
+            }
+            Algorithm::Worklist => SaturatedOrder::Engine(Box::new(
+                ImplicationEngine::with_goal_terms(arena, equations, extra_terms),
+            )),
+        }
+    }
+
+    /// `lhs ≤_E rhs` for two terms the order was built over.
+    pub(crate) fn leq(&self, lhs: TermId, rhs: TermId) -> bool {
+        match self {
+            SaturatedOrder::Fixpoint(order) => order.leq(lhs, rhs),
+            SaturatedOrder::Engine(engine) => engine.leq(lhs, rhs),
+        }
+        .expect("queried terms are in V by construction")
+    }
+}
+
+/// Batched convenience: builds one order whose `V` covers every goal and
+/// answers them all.  (The cached counterpart is
+/// [`ImplicationEngine::entails_many`].)
 pub fn entails_many(
     arena: &TermArena,
     equations: &[Equation],
@@ -1040,19 +957,15 @@ pub fn entails_many(
     algorithm: Algorithm,
 ) -> Vec<bool> {
     let extra: Vec<TermId> = goals.iter().flat_map(|g| [g.lhs, g.rhs]).collect();
-    let order = DerivedOrder::build(arena, equations, &extra, algorithm);
+    let order = SaturatedOrder::build(arena, equations, &extra, algorithm);
     goals
         .iter()
-        .map(|&g| {
-            order
-                .entails(g)
-                .expect("goal terms are in V by construction")
-        })
+        .map(|&g| order.leq(g.lhs, g.rhs) && order.leq(g.rhs, g.lhs))
         .collect()
 }
 
-/// Batched convenience over the reference engines for `≤` queries.  (The
-/// cached counterpart is [`ImplicationEngine::leq_many`].)
+/// Batched convenience for `≤` queries.  (The cached counterpart is
+/// [`ImplicationEngine::leq_many`].)
 pub fn leq_many(
     arena: &TermArena,
     equations: &[Equation],
@@ -1060,15 +973,8 @@ pub fn leq_many(
     algorithm: Algorithm,
 ) -> Vec<bool> {
     let extra: Vec<TermId> = pairs.iter().flat_map(|&(l, r)| [l, r]).collect();
-    let order = DerivedOrder::build(arena, equations, &extra, algorithm);
-    pairs
-        .iter()
-        .map(|&(l, r)| {
-            order
-                .leq(l, r)
-                .expect("goal terms are in V by construction")
-        })
-        .collect()
+    let order = SaturatedOrder::build(arena, equations, &extra, algorithm);
+    pairs.iter().map(|&(l, r)| order.leq(l, r)).collect()
 }
 
 /// Convenience: does `E` entail the equation `goal` (the uniform word
@@ -1079,9 +985,7 @@ pub fn entails(
     goal: Equation,
     algorithm: Algorithm,
 ) -> bool {
-    DerivedOrder::build(arena, equations, &[goal.lhs, goal.rhs], algorithm)
-        .entails(goal)
-        .expect("goal terms are in V by construction")
+    entails_many(arena, equations, &[goal], algorithm)[0]
 }
 
 /// Convenience: does `E` entail `lhs ≤ rhs`?
@@ -1092,9 +996,7 @@ pub fn entails_leq(
     rhs: TermId,
     algorithm: Algorithm,
 ) -> bool {
-    DerivedOrder::build(arena, equations, &[lhs, rhs], algorithm)
-        .leq(lhs, rhs)
-        .expect("goal terms are in V by construction")
+    leq_many(arena, equations, &[(lhs, rhs)], algorithm)[0]
 }
 
 #[cfg(test)]
@@ -1276,14 +1178,13 @@ mod tests {
         let a = f.t("A");
         let b = f.t("B");
         let c = f.t("C");
-        let order = DerivedOrder::build(&f.arena, &e, &[a, b, c], Algorithm::Worklist);
+        let order = DerivedOrder::build(&f.arena, &e, &[a, b, c]);
         let consequences = order.atom_consequences(&f.arena);
         assert!(consequences.contains(&(a, b)));
         assert!(consequences.contains(&(a, c)));
         assert!(consequences.contains(&(b, c)));
         assert!(!consequences.contains(&(c, a)));
         assert!(order.num_arcs() > 0);
-        assert!(order.work() > 0);
         assert!(!order.render(&f.arena, &f.universe).is_empty());
         assert_eq!(order.leq(a, b), Some(true));
         assert_eq!(order.leq(c, a), Some(false));
@@ -1320,7 +1221,7 @@ mod tests {
         let e = vec![f.eq("A=A*B")];
         let a = f.t("A");
         let stranger = f.t("X+Y");
-        let order = DerivedOrder::build(&f.arena, &e, &[], Algorithm::Worklist);
+        let order = DerivedOrder::build(&f.arena, &e, &[]);
         assert!(order.contains_term(a));
         assert!(!order.contains_term(stranger));
         let engine = ImplicationEngine::new(&f.arena, &e);
@@ -1336,7 +1237,7 @@ mod tests {
         let e = vec![f.eq("A=A*B")];
         let a = f.t("A");
         let stranger = f.t("X+Y");
-        let order = DerivedOrder::build(&f.arena, &e, &[], Algorithm::Worklist);
+        let order = DerivedOrder::build(&f.arena, &e, &[]);
         let _ = order.leq(a, stranger);
     }
 
@@ -1426,7 +1327,7 @@ mod tests {
         // Counters line up with the derived arcs.
         assert_eq!(engine.rule_firings(), engine.num_arcs());
         // And agree with the reference order over the same V.
-        let order = DerivedOrder::build(&f.arena, &e, &[a, b, c], Algorithm::Worklist);
+        let order = DerivedOrder::build(&f.arena, &e, &[a, b, c]);
         assert_eq!(order.num_arcs(), engine.num_arcs());
         assert_eq!(order.rule_firings(), order.num_arcs());
     }

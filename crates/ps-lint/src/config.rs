@@ -20,7 +20,7 @@ pub const NAIVE_PAIRS: &[(&str, &str)] = &[
     ("close_under_ops", "close_under_ops_naive"),
     // ps-relation: indexed worklist chase vs. full-rescan loop.
     ("chase_tableau", "chase_tableau_naive"),
-    ("chase_fds", "chase_fds_naive"),
+    ("chase_fds_over_frozen", "chase_fds_naive"),
     // ps-relation: linear Beeri–Bernstein counter closure vs. naive loop.
     ("attribute_closure", "attribute_closure_naive"),
     // ps-lattice: word-parallel BitMatrix delta kernels vs. per-bit loops.

@@ -462,65 +462,19 @@ pub fn chase_tableau_with(
     }
 }
 
-/// Chases the padded tableau of `db` with `fds` over the union of the
-/// database's attributes (Honeyman's test), using the indexed engine.
-pub fn chase_fds(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
-    chase_fds_with(db, fds, symbols, &mut ChaseScratch::default())
-}
-
-/// [`chase_fds`] with caller-provided reusable buffers (see
-/// [`ChaseScratch`]).
-pub fn chase_fds_with(
-    db: &Database,
-    fds: &[Fd],
-    symbols: &mut SymbolTable,
-    scratch: &mut ChaseScratch,
-) -> ChaseOutcome {
-    let tableau = Tableau::from_database(db, symbols);
-    chase_tableau_with(&tableau, fds, symbols, scratch)
-}
-
-/// [`chase_fds`] on the full-rescan reference engine.
-pub fn chase_fds_naive(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
-    let tableau = Tableau::from_database(db, symbols);
-    chase_tableau_naive(&tableau, fds, symbols)
-}
-
-/// Chases the padded tableau of `db` over an explicit attribute universe
+/// Chases the padded tableau of `db` over the attribute universe `attrs`
 /// (which may strictly contain the database's own attributes, as happens in
-/// the Section 6.2 pipeline where constraints introduce new attributes).
-pub fn chase_fds_over(
-    db: &Database,
-    attrs: &AttrSet,
-    fds: &[Fd],
-    symbols: &mut SymbolTable,
-) -> ChaseOutcome {
-    chase_fds_over_with(db, attrs, fds, symbols, &mut ChaseScratch::default())
-}
-
-/// [`chase_fds_over`] with caller-provided reusable buffers (see
-/// [`ChaseScratch`]).
-pub fn chase_fds_over_with(
-    db: &Database,
-    attrs: &AttrSet,
-    fds: &[Fd],
-    symbols: &mut SymbolTable,
-    scratch: &mut ChaseScratch,
-) -> ChaseOutcome {
-    let tableau = Tableau::from_database_over(db, attrs, symbols);
-    chase_tableau_with(&tableau, fds, symbols, scratch)
-}
-
-/// [`chase_fds_over_with`] against a *frozen* symbol table: padding nulls
-/// are minted from the caller's detached [`FreshSymbols`] source instead of
-/// mutating the table, so many threads can chase independent databases
-/// against one shared `&SymbolTable`.
+/// the Section 6.2 pipeline where constraints introduce new attributes) —
+/// Honeyman's test on the indexed engine.
 ///
-/// The chase itself only consults the table through
-/// [`SymbolTable::is_constant`], a pure tag-bit test, so verdict, step
-/// count and `row_visits` are identical to [`chase_fds_over_with`] — only
-/// the nulls' numeric identities may differ, which
-/// [`canonical_chase_rows`] erases.
+/// The table is frozen (`&`-shared): padding nulls are minted from the
+/// caller's detached [`FreshSymbols`] source, moved first past every null
+/// already in `db` (see [`Tableau::from_database_frozen`]), so many threads
+/// can chase independent databases against one `&SymbolTable`.  The chase
+/// itself consults the table only through [`SymbolTable::is_constant`], a
+/// pure tag-bit test, so verdict, step count and `row_visits` never depend
+/// on where the source's cursor starts — only the nulls' numeric identities
+/// do, which [`canonical_chase_rows`] erases.
 pub fn chase_fds_over_frozen(
     db: &Database,
     attrs: &AttrSet,
@@ -531,6 +485,19 @@ pub fn chase_fds_over_frozen(
 ) -> ChaseOutcome {
     let tableau = Tableau::from_database_frozen(db, attrs, fresh);
     chase_tableau_with(&tableau, fds, symbols, scratch)
+}
+
+/// [`chase_fds_over_frozen`] on the full-rescan reference engine (the
+/// naive engine keeps no scratch buffers).
+pub fn chase_fds_naive(
+    db: &Database,
+    attrs: &AttrSet,
+    fds: &[Fd],
+    symbols: &SymbolTable,
+    fresh: &mut FreshSymbols,
+) -> ChaseOutcome {
+    let tableau = Tableau::from_database_frozen(db, attrs, fresh);
+    chase_tableau_naive(&tableau, fds, symbols)
 }
 
 /// Renames fresh nulls to their first-occurrence index so chased rows can
@@ -573,13 +540,26 @@ mod tests {
         }
     }
 
+    /// The indexed chase over the database's own attributes.
+    fn chase(db: &Database, fds: &[Fd], symbols: &SymbolTable) -> ChaseOutcome {
+        chase_fds_over_frozen(
+            db,
+            &db.all_attributes(),
+            fds,
+            symbols,
+            &mut symbols.fresh_source(),
+            &mut ChaseScratch::default(),
+        )
+    }
+
     /// Both engines must agree: same verdict, same chased rows up to null
     /// renaming (the FD chase is confluent).  No relation between their
     /// `row_visits` is asserted here — the worklist engine wins on
     /// propagation-heavy workloads but can lose on tiny ones, where
     /// re-queues outnumber the naive engine's few global rounds.
-    fn assert_engines_agree(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
-        let tableau = Tableau::from_database(db, symbols);
+    fn assert_engines_agree(db: &Database, fds: &[Fd], symbols: &SymbolTable) -> ChaseOutcome {
+        let tableau =
+            Tableau::from_database_frozen(db, &db.all_attributes(), &mut symbols.fresh_source());
         let indexed = chase_tableau(&tableau, fds, symbols);
         let naive = chase_tableau_naive(&tableau, fds, symbols);
         assert_eq!(indexed.consistent, naive.consistent);
@@ -621,7 +601,7 @@ mod tests {
         let b = f.universe.lookup("B").unwrap();
         let c = f.universe.lookup("C").unwrap();
         let fds = vec![fd(&[b], &[c])];
-        let outcome = chase_fds(&db, &fds, &mut f.symbols);
+        let outcome = chase(&db, &fds, &f.symbols);
         assert!(outcome.consistent);
         let w = outcome.weak_instance("W", &db.all_attributes()).unwrap();
         assert_eq!(w.len(), 3);
@@ -632,7 +612,7 @@ mod tests {
         let c_domain = w.active_domain(c).unwrap();
         assert_eq!(c_domain.len(), 1);
         assert!(f.symbols.is_constant(c_domain[0]));
-        assert_engines_agree(&db, &fds, &mut f.symbols);
+        assert_engines_agree(&db, &fds, &f.symbols);
     }
 
     #[test]
@@ -651,11 +631,11 @@ mod tests {
             .build();
         let a = f.universe.lookup("A").unwrap();
         let b = f.universe.lookup("B").unwrap();
-        let outcome = chase_fds(&db, &[fd(&[a], &[b])], &mut f.symbols);
+        let outcome = chase(&db, &[fd(&[a], &[b])], &f.symbols);
         assert!(!outcome.consistent);
         assert!(outcome.rows.is_none());
         assert!(outcome.weak_instance("W", &db.all_attributes()).is_none());
-        assert_engines_agree(&db, &[fd(&[a], &[b])], &mut f.symbols);
+        assert_engines_agree(&db, &[fd(&[a], &[b])], &f.symbols);
     }
 
     #[test]
@@ -682,7 +662,7 @@ mod tests {
             .build();
         let a = f.universe.lookup("A").unwrap();
         let c = f.universe.lookup("C").unwrap();
-        let outcome = chase_fds(&db, &[fd(&[a], &[c])], &mut f.symbols);
+        let outcome = chase(&db, &[fd(&[a], &[c])], &f.symbols);
         assert!(!outcome.consistent);
     }
 
@@ -722,7 +702,7 @@ mod tests {
         let b = f.universe.lookup("B").unwrap();
         let c = f.universe.lookup("C").unwrap();
         let fds = vec![fd(&[a], &[b]), fd(&[b], &[c]), fd(&[a], &[c])];
-        let outcome = chase_fds(&db, &fds, &mut f.symbols);
+        let outcome = chase(&db, &fds, &f.symbols);
         assert!(!outcome.consistent);
         // Without the contradicting R3 tuple it is consistent.
         let db2 = DatabaseBuilder::new()
@@ -743,11 +723,11 @@ mod tests {
             )
             .unwrap()
             .build();
-        let outcome2 = chase_fds(&db2, &fds, &mut f.symbols);
+        let outcome2 = chase(&db2, &fds, &f.symbols);
         assert!(outcome2.consistent);
         let w = outcome2.weak_instance("W", &db2.all_attributes()).unwrap();
         assert!(w.satisfies_all_fds(&fds));
-        assert_engines_agree(&db2, &fds, &mut f.symbols);
+        assert_engines_agree(&db2, &fds, &f.symbols);
     }
 
     #[test]
@@ -763,7 +743,7 @@ mod tests {
             )
             .unwrap()
             .build();
-        let outcome = chase_fds(&db, &[], &mut f.symbols);
+        let outcome = chase(&db, &[], &f.symbols);
         assert!(outcome.consistent);
         assert_eq!(outcome.steps, 0);
         assert_eq!(outcome.row_visits, 0);
@@ -780,7 +760,14 @@ mod tests {
         let a = f.universe.lookup("A").unwrap();
         let mut attrs = db.all_attributes();
         attrs.insert(b);
-        let outcome = chase_fds_over(&db, &attrs, &[fd(&[a], &[b])], &mut f.symbols);
+        let outcome = chase_fds_over_frozen(
+            &db,
+            &attrs,
+            &[fd(&[a], &[b])],
+            &f.symbols,
+            &mut f.symbols.fresh_source(),
+            &mut ChaseScratch::default(),
+        );
         assert!(outcome.consistent);
         let w = outcome.weak_instance("W", &attrs).unwrap();
         assert_eq!(w.scheme().arity(), 2);
@@ -825,8 +812,14 @@ mod tests {
             })
             .collect();
         fds.reverse();
-        let indexed = assert_engines_agree(&db, &fds, &mut f.symbols);
-        let naive = chase_fds_naive(&db, &fds, &mut f.symbols);
+        let indexed = assert_engines_agree(&db, &fds, &f.symbols);
+        let naive = chase_fds_naive(
+            &db,
+            &db.all_attributes(),
+            &fds,
+            &f.symbols,
+            &mut f.symbols.fresh_source(),
+        );
         assert!(indexed.consistent && naive.consistent);
         assert!(
             indexed.row_visits < naive.row_visits,

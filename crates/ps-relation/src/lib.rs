@@ -49,9 +49,8 @@ mod tableau;
 mod tuple;
 
 pub use chase::{
-    canonical_chase_rows, chase_fds, chase_fds_naive, chase_fds_over, chase_fds_over_frozen,
-    chase_fds_over_with, chase_fds_with, chase_tableau, chase_tableau_naive, chase_tableau_with,
-    ChaseOutcome, ChaseScratch,
+    canonical_chase_rows, chase_fds_naive, chase_fds_over_frozen, chase_tableau,
+    chase_tableau_naive, chase_tableau_with, ChaseOutcome, ChaseScratch,
 };
 pub use consistency::{cad_consistent, weak_instance_consistent, CadOutcome, CadSearchStats};
 pub use database::{Database, DatabaseBuilder};

@@ -7,7 +7,7 @@
 //! null.  The chase ([`crate::chase`]) then equates symbols as dictated by
 //! the FDs.
 
-use ps_base::{AttrSet, Attribute, FreshSymbols, Symbol, SymbolTable};
+use ps_base::{AttrSet, Attribute, FreshSymbols, Symbol};
 
 use crate::Database;
 
@@ -19,32 +19,25 @@ pub struct Tableau {
 }
 
 impl Tableau {
-    /// Builds the tableau of `db` over the union of all its attributes,
-    /// padding missing columns with fresh nulls drawn from `symbols`.
-    pub fn from_database(db: &Database, symbols: &mut SymbolTable) -> Self {
-        Self::from_database_over(db, &db.all_attributes(), symbols)
-    }
-
-    /// Builds the tableau of `db` over an explicit attribute set `attrs`
-    /// (which must contain every attribute used by `db`); useful when the
-    /// constraint set mentions attributes the database does not.
-    pub fn from_database_over(db: &Database, attrs: &AttrSet, symbols: &mut SymbolTable) -> Self {
-        Self::build(db, attrs, || symbols.fresh())
-    }
-
-    /// Like [`Tableau::from_database_over`], but pads with nulls minted from
-    /// a detached [`FreshSymbols`] source instead of mutating the table.
+    /// Builds the tableau of `db` over the attribute set `attrs` (which must
+    /// contain every attribute used by `db`, and may add attributes the
+    /// database does not mention), padding missing columns with nulls
+    /// minted from `fresh`.
     ///
-    /// This is the entry point used when chasing against a frozen
-    /// (`&`-shared) symbol table, e.g. one snapshot queried by many worker
-    /// threads, each holding its own source.  Null *identity* never affects
-    /// chase verdicts — only within-tableau distinctness matters, which a
-    /// single source guarantees.
+    /// The padding must be "distinct new values" (Section 6.2), so the
+    /// cursor is first moved past every null already in `db` — a witness fed
+    /// back as input may carry nulls the source would otherwise reissue.
+    /// Only the table's tag bit is ever consulted afterwards, which is what
+    /// lets many workers build tableaux against one shared `&SymbolTable`,
+    /// each with its own source.
     pub fn from_database_frozen(db: &Database, attrs: &AttrSet, fresh: &mut FreshSymbols) -> Self {
-        Self::build(db, attrs, || fresh.fresh())
-    }
-
-    fn build(db: &Database, attrs: &AttrSet, mut fresh: impl FnMut() -> Symbol) -> Self {
+        for relation in db.relations() {
+            for pos in 0..relation.scheme().arity() {
+                for &sym in relation.column(pos) {
+                    fresh.skip_past(sym);
+                }
+            }
+        }
         let mut rows = Vec::with_capacity(db.total_tuples());
         for relation in db.relations() {
             // Resolve each tableau column to the relation's column (or a
@@ -58,7 +51,7 @@ impl Tableau {
                     .iter()
                     .map(|pos| match pos {
                         Some(pos) => row.value_at(*pos),
-                        None => fresh(),
+                        None => fresh.fresh(),
                     })
                     .collect();
                 rows.push(padded);
@@ -114,7 +107,7 @@ impl Tableau {
 mod tests {
     use super::*;
     use crate::database::DatabaseBuilder;
-    use ps_base::Universe;
+    use ps_base::{SymbolTable, Universe};
 
     fn two_relation_db() -> (Universe, SymbolTable, Database) {
         let mut u = Universe::new();
@@ -134,10 +127,14 @@ mod tests {
         (u, s, db)
     }
 
+    fn tableau_of(db: &Database, s: &SymbolTable) -> Tableau {
+        Tableau::from_database_frozen(db, &db.all_attributes(), &mut s.fresh_source())
+    }
+
     #[test]
     fn tableau_has_one_row_per_tuple_and_pads_with_nulls() {
-        let (u, mut s, db) = two_relation_db();
-        let tableau = Tableau::from_database(&db, &mut s);
+        let (u, s, db) = two_relation_db();
+        let tableau = tableau_of(&db, &s);
         assert_eq!(tableau.num_rows(), 3);
         assert_eq!(tableau.attrs().len(), 3);
         assert!(!tableau.is_empty());
@@ -155,8 +152,8 @@ mod tests {
 
     #[test]
     fn nulls_are_distinct_across_cells() {
-        let (_, mut s, db) = two_relation_db();
-        let tableau = Tableau::from_database(&db, &mut s);
+        let (_, s, db) = two_relation_db();
+        let tableau = tableau_of(&db, &s);
         let mut nulls = Vec::new();
         for row in tableau.rows() {
             for &sym in row {
@@ -171,44 +168,47 @@ mod tests {
     }
 
     #[test]
-    fn from_database_over_can_add_extra_attributes() {
-        let (mut u, mut s, db) = two_relation_db();
+    fn tableau_can_range_over_extra_attributes() {
+        let (mut u, s, db) = two_relation_db();
         let d = u.attr("D");
         let mut attrs = db.all_attributes();
         attrs.insert(d);
-        let tableau = Tableau::from_database_over(&db, &attrs, &mut s);
+        let tableau = Tableau::from_database_frozen(&db, &attrs, &mut s.fresh_source());
         assert_eq!(tableau.attrs().len(), 4);
         assert!(s.is_fresh(tableau.get(0, d).unwrap()));
     }
 
     #[test]
-    fn frozen_construction_matches_mutable_up_to_null_renaming() {
-        let (_, mut s, db) = two_relation_db();
-        let attrs = db.all_attributes();
-        let frozen = {
-            let mut source = s.fresh_source();
-            Tableau::from_database_frozen(&db, &attrs, &mut source)
-        };
-        let mutable = Tableau::from_database_over(&db, &attrs, &mut s);
-        // Same shape, same constants, nulls in the same cells.
-        assert_eq!(frozen.num_rows(), mutable.num_rows());
-        for (fr, mr) in frozen.rows().iter().zip(mutable.rows()) {
-            for (&fv, &mv) in fr.iter().zip(mr) {
-                assert_eq!(s.is_constant(fv), s.is_constant(mv));
-                if s.is_constant(fv) {
-                    assert_eq!(fv, mv);
-                }
-            }
+    fn padding_skips_nulls_already_in_the_database() {
+        // A chased tableau fed back as a database carries nulls the table
+        // never issued; the padding of the next tableau must avoid them.
+        let (mut u, mut s, db) = two_relation_db();
+        let first = tableau_of(&db, &s);
+        let mut again = Database::new();
+        let scheme = crate::RelationScheme::new("W", first.attrs().clone());
+        let mut witness = crate::Relation::new(scheme);
+        for row in first.rows() {
+            witness.insert_values(row).unwrap();
         }
-        // In fact both start minting at the same cursor, so they agree
-        // symbol-for-symbol here.
-        assert_eq!(frozen.rows(), mutable.rows());
+        again.add(witness);
+        let extra = DatabaseBuilder::new()
+            .relation(&mut u, &mut s, "S", &["A"], &[&["a3"]])
+            .unwrap()
+            .build();
+        again.add(extra.relations()[0].clone());
+        let second = tableau_of(&again, &s);
+        let old: std::collections::HashSet<Symbol> =
+            first.rows().iter().flatten().copied().collect();
+        let padded = second.rows().last().unwrap();
+        for &sym in padded.iter().filter(|&&sym| s.is_fresh(sym)) {
+            assert!(!old.contains(&sym), "padding reissued {sym}");
+        }
     }
 
     #[test]
     fn position_and_get_handle_missing_attributes() {
-        let (mut u, mut s, db) = two_relation_db();
-        let tableau = Tableau::from_database(&db, &mut s);
+        let (mut u, s, db) = two_relation_db();
+        let tableau = tableau_of(&db, &s);
         let z = u.attr("Z");
         assert_eq!(tableau.position(z), None);
         assert_eq!(tableau.get(0, z), None);

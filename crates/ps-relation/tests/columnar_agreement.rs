@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use ps_base::{AttrSet, Attribute, Symbol, SymbolTable, Universe};
 use ps_relation::{
-    canonical_chase_rows, chase_fds, chase_fds_naive, chase_fds_with, fd_closure, ChaseScratch,
+    canonical_chase_rows, chase_fds_naive, chase_fds_over_frozen, fd_closure, ChaseScratch,
     Database, Fd, Mvd, Relation, RelationScheme,
 };
 
@@ -307,14 +307,23 @@ proptest! {
             })
             .collect();
 
-        let mut s1 = symbols.clone();
-        let indexed = chase_fds(&db, &fds, &mut s1);
-        let mut s2 = symbols.clone();
-        let naive = chase_fds_naive(&db, &fds, &mut s2);
+        let attrs = db.all_attributes();
+        let indexed = chase_fds_over_frozen(
+            &db,
+            &attrs,
+            &fds,
+            &symbols,
+            &mut symbols.fresh_source(),
+            &mut ChaseScratch::default(),
+        );
+        let naive = chase_fds_naive(&db, &attrs, &fds, &symbols, &mut symbols.fresh_source());
         prop_assert_eq!(indexed.consistent, naive.consistent);
         match (&indexed.rows, &naive.rows) {
             (Some(a), Some(b)) => {
-                prop_assert_eq!(canonical_chase_rows(a, &s1), canonical_chase_rows(b, &s2));
+                prop_assert_eq!(
+                    canonical_chase_rows(a, &symbols),
+                    canonical_chase_rows(b, &symbols)
+                );
                 prop_assert_eq!(indexed.steps, naive.steps);
             }
             (None, None) => {}
@@ -368,18 +377,31 @@ proptest! {
                 })
                 .collect();
 
-            let mut s1 = symbols.clone();
-            let reused = chase_fds_with(&db, &fds, &mut s1, &mut scratch);
-            let mut s2 = symbols.clone();
-            let fresh = chase_fds(&db, &fds, &mut s2);
+            let attrs = db.all_attributes();
+            let reused = chase_fds_over_frozen(
+                &db,
+                &attrs,
+                &fds,
+                &symbols,
+                &mut symbols.fresh_source(),
+                &mut scratch,
+            );
+            let fresh = chase_fds_over_frozen(
+                &db,
+                &attrs,
+                &fds,
+                &symbols,
+                &mut symbols.fresh_source(),
+                &mut ChaseScratch::default(),
+            );
             prop_assert_eq!(reused.consistent, fresh.consistent);
             prop_assert_eq!(reused.steps, fresh.steps);
             prop_assert_eq!(reused.rounds, fresh.rounds);
             prop_assert_eq!(reused.row_visits, fresh.row_visits);
             match (&reused.rows, &fresh.rows) {
                 (Some(a), Some(b)) => prop_assert_eq!(
-                    canonical_chase_rows(a, &s1),
-                    canonical_chase_rows(b, &s2)
+                    canonical_chase_rows(a, &symbols),
+                    canonical_chase_rows(b, &symbols)
                 ),
                 (None, None) => {}
                 _ => prop_assert!(false, "verdicts agree but rows differ in presence"),

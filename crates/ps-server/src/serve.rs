@@ -153,19 +153,30 @@ fn writer_loop(mut core: ServerCore, jobs: Receiver<Job>) {
 /// Serves one connection: reads newline-delimited frames from `reader`,
 /// writes one response line per frame to `writer`.  Returns `true` when
 /// the connection requested (and was acknowledged) a server shutdown.
+///
+/// Frames are read as bytes and decoded one at a time, so a frame that is
+/// not valid UTF-8 gets a typed `parse` error like any malformed frame and
+/// the connection stays up.
 fn serve_connection<R: BufRead, W: Write>(
-    reader: R,
+    mut reader: R,
     mut writer: W,
     jobs: &SyncSender<Job>,
     stats: &SharedStats,
     executor: ParallelExecutor,
 ) -> io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        if reader.read_until(b'\n', &mut frame)? == 0 {
+            return Ok(false);
+        }
+        let bytes = frame.strip_suffix(b"\n").unwrap_or(&frame);
+        let bytes = bytes.strip_suffix(b"\r").unwrap_or(bytes);
+        let line = std::str::from_utf8(bytes);
+        if matches!(line, Ok(line) if line.trim().is_empty()) {
             continue;
         }
-        let response = answer_frame(&line, jobs, stats, executor);
+        let response = answer_frame(line, jobs, stats, executor);
         let shutdown = response.is_shutdown_ack();
         writer.write_all(response.to_line().as_bytes())?;
         writer.write_all(b"\n")?;
@@ -174,17 +185,26 @@ fn serve_connection<R: BufRead, W: Write>(
             return Ok(true);
         }
     }
-    Ok(false)
 }
 
-/// Produces the response for one raw frame: parse, tally, route.
+/// Produces the response for one raw frame: decode, parse, tally, route.
 fn answer_frame(
-    line: &str,
+    line: Result<&str, std::str::Utf8Error>,
     jobs: &SyncSender<Job>,
     stats: &SharedStats,
     executor: ParallelExecutor,
 ) -> Response {
-    let request = match Request::parse_line(line) {
+    let parsed = line
+        .map_err(|e| {
+            let at = e.valid_up_to() as u64;
+            WireError {
+                kind: ErrorKind::Parse,
+                message: "frame is not valid UTF-8".to_owned(),
+                span: Some((at, at)),
+            }
+        })
+        .and_then(Request::parse_line);
+    let request = match parsed {
         Ok(request) => request,
         Err(error) => {
             // A malformed frame is answered in place (with its span) and
@@ -360,14 +380,14 @@ mod tests {
 
     /// Drives `serve_connection` over in-memory buffers — the stdio path
     /// without a process boundary.
-    fn run_script(script: &str, config: ServeConfig) -> Vec<Response> {
+    fn run_script(script: impl AsRef<[u8]>, config: ServeConfig) -> Vec<Response> {
         let core = ServerCore::new(config.threads);
         let executor = core.executor();
         let (jobs_tx, jobs_rx) = mpsc::sync_channel::<Job>(config.queue);
         let stats: SharedStats = Arc::new(Mutex::new(StatsInner::new()));
         let writer = std::thread::spawn(move || writer_loop(core, jobs_rx));
         let mut out: Vec<u8> = Vec::new();
-        serve_connection(script.as_bytes(), &mut out, &jobs_tx, &stats, executor)
+        serve_connection(script.as_ref(), &mut out, &jobs_tx, &stats, executor)
             .expect("in-memory serve failed");
         drop(jobs_tx);
         writer.join().expect("writer panicked");
@@ -393,6 +413,33 @@ this is not json\n\
         assert_eq!(e.kind, ErrorKind::Parse);
         assert!(e.span.is_some());
         // The connection survived: the third request got its real answer.
+        assert!(
+            matches!(
+                &responses[2].result,
+                Ok((Payload::Implies { implied: true }, _))
+            ),
+            "{:?}",
+            responses[2]
+        );
+    }
+
+    #[test]
+    fn an_invalid_utf8_frame_answers_a_parse_error_and_keeps_the_connection() {
+        let mut script =
+            b"{\"id\":1,\"op\":\"register\",\"set\":\"s\",\"pds\":[\"A = A*B\"]}\n".to_vec();
+        script.extend_from_slice(b"{\"op\":\xff\xfe}\n");
+        script.extend_from_slice(
+            b"{\"id\":2,\"op\":\"implies\",\"set\":\"s\",\"goal\":\"A*B = A\"}\n",
+        );
+        let responses = run_script(script, ServeConfig::default());
+        assert_eq!(responses.len(), 3);
+        assert!(responses[0].result.is_ok());
+        let Err(e) = &responses[1].result else {
+            panic!("an invalid UTF-8 frame must error");
+        };
+        assert_eq!(e.kind, ErrorKind::Parse);
+        // The span points at the first invalid byte.
+        assert_eq!(e.span, Some((6, 6)));
         assert!(
             matches!(
                 &responses[2].result,

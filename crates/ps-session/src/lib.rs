@@ -151,6 +151,88 @@ mod tests {
         assert!(totals.rule_firings > 0);
     }
 
+    /// `R(A) = {a}` under the FD `B → A`, and the database made of its
+    /// snapshot-minted witness `{(a, ⊥0, …)}` plus `S(A) = {a2}`.
+    fn witness_fed_back_as_input() -> (Session, ConstraintSetId, ps_relation::Database) {
+        let mut session = Session::new();
+        let set = session.register_texts(&["B = B*A"]).unwrap();
+        let r = session
+            .database()
+            .relation("R", &["A"], &[&["a"]])
+            .unwrap()
+            .build();
+        let s = session
+            .database()
+            .relation("S", &["A"], &[&["a2"]])
+            .unwrap()
+            .build();
+        let snapshot = session.snapshot(set).unwrap();
+        let pool = ParallelExecutor::new(1);
+        let witness = pool
+            .weak_instance_many_par(&snapshot, &[r])
+            .unwrap()
+            .value
+            .remove(0)
+            .weak_instance
+            .expect("R alone is satisfiable");
+        assert!(witness
+            .iter()
+            .any(|row| row.values().any(|sym| session.symbols().is_fresh(sym))));
+        let mut db = ps_relation::Database::new();
+        db.add(witness);
+        db.add(s.relations()[0].clone());
+        (session, set, db)
+    }
+
+    /// The padded `B` cell of `S` must be a new null: if it reused the
+    /// witness's `⊥0`, `B → A` would equate `a` with `a2`.
+    #[test]
+    fn snapshot_padding_avoids_nulls_already_in_the_input() {
+        let (mut session, set, db) = witness_fed_back_as_input();
+        let snapshot = session.snapshot(set).unwrap();
+        let outcome = ParallelExecutor::new(1)
+            .consistent_many_par(&snapshot, &[db])
+            .unwrap();
+        assert!(outcome.value[0].consistent);
+    }
+
+    /// [`snapshot_padding_avoids_nulls_already_in_the_input`] on the
+    /// session path, whose table never saw the snapshot's nulls.
+    #[test]
+    fn session_padding_avoids_nulls_already_in_the_input() {
+        let (mut session, set, db) = witness_fed_back_as_input();
+        let outcome = session
+            .consistent(set, &db, ConsistencyMode::Polynomial)
+            .unwrap();
+        assert!(outcome.value.consistent);
+    }
+
+    /// Session outputs are session-unique: two witnesses never share a
+    /// null, so one can be fed back next to the other.
+    #[test]
+    fn session_weak_instance_witnesses_share_no_null() {
+        let mut session = Session::new();
+        let set = session.register_texts(&["B = B*A", "C = A+B"]).unwrap();
+        let db = session
+            .database()
+            .relation("R", &["A"], &[&["a"], &["a2"]])
+            .unwrap()
+            .build();
+        let nulls = |session: &mut Session| -> std::collections::HashSet<ps_base::Symbol> {
+            let witness = session.weak_instance(set, &db).unwrap().value;
+            let relation = witness.weak_instance.expect("satisfiable");
+            relation
+                .iter()
+                .flat_map(|row| row.values().collect::<Vec<_>>())
+                .filter(|&sym| session.symbols().is_fresh(sym))
+                .collect()
+        };
+        let first = nulls(&mut session);
+        let second = nulls(&mut session);
+        assert!(!first.is_empty() && !second.is_empty());
+        assert!(first.is_disjoint(&second), "{first:?} / {second:?}");
+    }
+
     #[test]
     fn registration_is_keyed_by_the_normalized_set() {
         let mut session = Session::new();

@@ -36,12 +36,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ps_base::{FreshSymbols, SymbolTable, Universe};
-use ps_core::consistency::{consistent_with_closed_frozen, ClosedConstraints};
-use ps_core::weak_bridge::{witness_from_consistency_frozen, SatisfiabilityWitness};
+use ps_core::consistency::ClosedConstraints;
+use ps_core::weak_bridge::SatisfiabilityWitness;
 use ps_lattice::{Equation, ImplicationEngine, TermArena};
 use ps_relation::{ChaseScratch, Database, Relation};
 
-use crate::session::{ConsistencyAnswer, ConsistencyMode};
+use crate::session::{polynomial_answer, weak_instance_witness, ConsistencyAnswer};
 use crate::{Counters, Epoch, Error, Outcome, Result};
 
 /// Compile-time `Send + Sync` guards: a future `Rc`/`Cell` regression in
@@ -162,18 +162,7 @@ impl SetSnapshot {
         fresh: &mut FreshSymbols,
         scratch: &mut ChaseScratch,
     ) -> (ConsistencyAnswer, u64) {
-        let outcome =
-            consistent_with_closed_frozen(db, &self.closed, &self.symbols, fresh, scratch);
-        let row_visits = outcome.chase.row_visits as u64;
-        let answer = ConsistencyAnswer {
-            consistent: outcome.consistent,
-            mode: ConsistencyMode::Polynomial,
-            fds: outcome.fds,
-            sums: outcome.sums,
-            witness: outcome.weak_instance,
-            interpretation: None,
-        };
-        (answer, row_visits)
+        polynomial_answer(db, &self.closed, &self.symbols, fresh, scratch)
     }
 
     /// Theorem 7 weak-instance satisfiability of one database against the
@@ -185,11 +174,7 @@ impl SetSnapshot {
         fresh: &mut FreshSymbols,
         scratch: &mut ChaseScratch,
     ) -> Result<(SatisfiabilityWitness, u64)> {
-        let outcome =
-            consistent_with_closed_frozen(db, &self.closed, &self.symbols, fresh, scratch);
-        let row_visits = outcome.chase.row_visits as u64;
-        let witness = witness_from_consistency_frozen(outcome, fresh)?;
-        Ok((witness, row_visits))
+        weak_instance_witness(db, &self.closed, &self.symbols, fresh, scratch)
     }
 }
 
@@ -392,7 +377,7 @@ impl ParallelExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Session;
+    use crate::{ConsistencyMode, Session};
 
     fn warm_session() -> (Session, crate::ConstraintSetId, Vec<Equation>) {
         let mut session = Session::new();

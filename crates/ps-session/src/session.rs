@@ -5,11 +5,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ps_base::{AttrSet, Attribute, Symbol, SymbolTable, Universe};
+use ps_base::{AttrSet, Attribute, FreshSymbols, Symbol, SymbolTable, Universe};
 use ps_core::consistency::{
-    close_constraints_with, normalize_pds, ClosedConstraints, SumConstraint,
+    close_constraints_with, consistent_with_closed_frozen, normalize_pds, ClosedConstraints,
+    SumConstraint,
 };
-use ps_core::weak_bridge::SatisfiabilityWitness;
+use ps_core::weak_bridge::{witness_from_consistency_frozen, SatisfiabilityWitness};
 use ps_core::{Fpd, PartitionInterpretation};
 use ps_graph::GraphEncoding;
 use ps_lattice::{
@@ -80,13 +81,55 @@ pub struct ConsistencyAnswer {
     pub sums: Vec<SumConstraint>,
     /// A witnessing relation when consistent: the chase's representative
     /// weak instance (polynomial mode, satisfies `F`; apply
-    /// [`ps_core::consistency::repair_sum_violations`] to also satisfy
-    /// `sums`) or the CAD witness (exact mode).
+    /// [`ps_core::consistency::repair_sum_violations_frozen`] to also
+    /// satisfy `sums`) or the CAD witness (exact mode).
     pub witness: Option<Relation>,
     /// The witnessing interpretation `I(w)` (exact mode only; polynomial
     /// callers wanting an interpretation should use
     /// [`Session::weak_instance`], which also repairs sum violations).
     pub interpretation: Option<PartitionInterpretation>,
+}
+
+/// Theorem 12 polynomial consistency of `db` against a closed constraint
+/// system: the one function behind [`Session::consistent`] and
+/// [`crate::SetSnapshot::consistent`].  Padding nulls come from `fresh`;
+/// returns the answer and the chase's row visits.
+pub(crate) fn polynomial_answer(
+    db: &Database,
+    closed: &ClosedConstraints,
+    symbols: &SymbolTable,
+    fresh: &mut FreshSymbols,
+    scratch: &mut ChaseScratch,
+) -> (ConsistencyAnswer, u64) {
+    let outcome = consistent_with_closed_frozen(db, closed, symbols, fresh, scratch);
+    let row_visits = outcome.chase.row_visits as u64;
+    let answer = ConsistencyAnswer {
+        consistent: outcome.consistent,
+        mode: ConsistencyMode::Polynomial,
+        fds: outcome.fds,
+        sums: outcome.sums,
+        witness: outcome.weak_instance,
+        interpretation: None,
+    };
+    (answer, row_visits)
+}
+
+/// Theorem 7 weak-instance satisfiability of `db` against a closed
+/// constraint system (chase, Lemma 12.1 repair, `I(w)`): the one function
+/// behind [`Session::weak_instance`] and [`crate::SetSnapshot::weak_instance`].
+/// Padding and repair nulls come from `fresh`; returns the witness and the
+/// chase's row visits.
+pub(crate) fn weak_instance_witness(
+    db: &Database,
+    closed: &ClosedConstraints,
+    symbols: &SymbolTable,
+    fresh: &mut FreshSymbols,
+    scratch: &mut ChaseScratch,
+) -> Result<(SatisfiabilityWitness, u64)> {
+    let outcome = consistent_with_closed_frozen(db, closed, symbols, fresh, scratch);
+    let row_visits = outcome.chase.row_visits as u64;
+    let witness = witness_from_consistency_frozen(outcome, fresh)?;
+    Ok((witness, row_visits))
 }
 
 /// The orientation-normalized term-id pair of a PD — the unit the
@@ -786,21 +829,17 @@ impl Session {
                     .closed
                     .as_ref()
                     .expect("closure just ensured");
-                let outcome = ps_core::consistency::consistent_with_closed_scratch(
+                let mut fresh = self.symbols.fresh_source();
+                let (answer, row_visits) = polynomial_answer(
                     db,
                     closed,
-                    &mut self.symbols,
+                    &self.symbols,
+                    &mut fresh,
                     &mut self.chase_scratch,
                 );
-                counters.row_visits += outcome.chase.row_visits as u64;
-                ConsistencyAnswer {
-                    consistent: outcome.consistent,
-                    mode,
-                    fds: outcome.fds,
-                    sums: outcome.sums,
-                    witness: outcome.weak_instance,
-                    interpretation: None,
-                }
+                self.symbols.advance_past(&fresh);
+                counters.row_visits += row_visits;
+                answer
             }
             ConsistencyMode::ExactCadEap => {
                 self.ensure_fpds(idx, &mut counters)?;
@@ -849,14 +888,19 @@ impl Session {
             .closed
             .as_ref()
             .expect("closure just ensured");
-        let outcome = ps_core::consistency::consistent_with_closed_scratch(
+        let mut fresh = self.symbols.fresh_source();
+        let result = weak_instance_witness(
             db,
             closed,
-            &mut self.symbols,
+            &self.symbols,
+            &mut fresh,
             &mut self.chase_scratch,
         );
-        counters.row_visits += outcome.chase.row_visits as u64;
-        let witness = ps_core::weak_bridge::witness_from_consistency(outcome, &mut self.symbols)?;
+        // Advance past this query's nulls even on error, so session outputs
+        // stay session-unique.
+        self.symbols.advance_past(&fresh);
+        let (witness, row_visits) = result?;
+        counters.row_visits += row_visits;
         self.totals += counters;
         Ok(Outcome::new(witness, counters))
     }

@@ -22,7 +22,7 @@
 //! runs the Theorem 12 consistency test for the whole constraint set.
 
 use partition_semantics::core::canonical::relation_satisfies_pd;
-use partition_semantics::core::consistency::repair_sum_violations;
+use partition_semantics::core::consistency::repair_sum_violations_frozen;
 use partition_semantics::core::weak_bridge::interpretation_from_weak_instance;
 use partition_semantics::prelude::*;
 
@@ -119,8 +119,9 @@ fn main() {
     let answer = outcome.value;
     println!("\nDatabase consistent with E?  {}", answer.consistent);
     if let Some(weak) = &answer.witness {
+        let mut fresh = session.symbols().fresh_source();
         let (repaired, converged) =
-            repair_sum_violations(weak, &answer.fds, &answer.sums, session.symbols_mut(), 16);
+            repair_sum_violations_frozen(weak, &answer.fds, &answer.sums, &mut fresh, 16);
         println!(
             "weak instance: {} rows before repair, {} after (converged: {converged})",
             weak.len(),

@@ -15,7 +15,7 @@
 //! the implication engine across all queries.
 
 use partition_semantics::core::canonical::relation_satisfies_pd;
-use partition_semantics::core::consistency::repair_sum_violations;
+use partition_semantics::core::consistency::repair_sum_violations_frozen;
 use partition_semantics::core::weak_bridge::interpretation_from_weak_instance;
 use partition_semantics::prelude::*;
 
@@ -128,8 +128,9 @@ fn main() {
             weak.len(),
             weak.scheme().arity()
         );
+        let mut fresh = session.symbols().fresh_source();
         let (repaired, converged) =
-            repair_sum_violations(weak, &answer.fds, &answer.sums, session.symbols_mut(), 16);
+            repair_sum_violations_frozen(weak, &answer.fds, &answer.sums, &mut fresh, 16);
         println!(
             "  after Lemma 12.1 repair: {} rows (converged: {converged})",
             repaired.len()

@@ -146,7 +146,7 @@ pub mod prelude {
     pub use ps_core::connectivity::{
         components_via_partition_semantics, connectivity_pd, relation_encodes_components,
     };
-    pub use ps_core::consistency::{consistent_with_pds, repair_sum_violations};
+    pub use ps_core::consistency::{consistent_with_pds, repair_sum_violations_frozen};
     pub use ps_core::fixtures;
     pub use ps_core::implication::{is_identity, pd_implies, pd_implies_fpd};
     pub use ps_core::lattice_of::InterpretationLattice;

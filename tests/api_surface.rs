@@ -71,7 +71,7 @@ const EXPECTED_PRELUDE: &[&str] = &[
     "relation_encodes_components",
     "relation_satisfies_all_pds",
     "relation_satisfies_pd",
-    "repair_sum_violations",
+    "repair_sum_violations_frozen",
     "satisfiable_with_fpds",
     "weak_instance_from_interpretation",
 ];

@@ -6,7 +6,7 @@ mod common;
 use common::World;
 use partition_semantics::core::consistency::{
     close_constraints, consistent_with_pds, normalize_pds, relation_satisfies_sum_constraints,
-    repair_sum_violations,
+    repair_sum_violations_frozen,
 };
 use partition_semantics::core::{fds_of_fpds, fpds_of_fds, weak_bridge};
 use partition_semantics::prelude::*;
@@ -38,7 +38,7 @@ fn fpd_only_sets_agree_with_the_honeyman_chase() {
             Algorithm::Worklist,
         )
         .unwrap();
-        let direct = weak_instance_consistent(&db, &fds, &mut world.symbols);
+        let direct = weak_instance_consistent(&db, &fds, &world.symbols);
         assert_eq!(pipeline.consistent, direct, "seed {seed}");
         // No sum constraints can arise from FPDs written as X = X*Y.
         assert!(pipeline.sums.is_empty(), "seed {seed}");
@@ -100,8 +100,9 @@ fn adding_sum_dependencies_never_destroys_consistency() {
         if after.consistent {
             assert!(before.consistent, "seed {seed}");
             let weak = after.weak_instance.clone().unwrap();
+            let mut fresh = world.symbols.fresh_source();
             let (repaired, converged) =
-                repair_sum_violations(&weak, &after.fds, &after.sums, &mut world.symbols, 64);
+                repair_sum_violations_frozen(&weak, &after.fds, &after.sums, &mut fresh, 64);
             assert!(converged, "seed {seed}");
             assert!(repaired.satisfies_all_fds(&after.fds), "seed {seed}");
             assert!(
@@ -263,16 +264,12 @@ fn repair_is_idempotent_once_converged() {
     .unwrap();
     assert!(outcome.consistent);
     let weak = outcome.weak_instance.unwrap();
+    let mut fresh = world.symbols.fresh_source();
     let (repaired, converged) =
-        repair_sum_violations(&weak, &outcome.fds, &outcome.sums, &mut world.symbols, 32);
+        repair_sum_violations_frozen(&weak, &outcome.fds, &outcome.sums, &mut fresh, 32);
     assert!(converged);
-    let (again, converged_again) = repair_sum_violations(
-        &repaired,
-        &outcome.fds,
-        &outcome.sums,
-        &mut world.symbols,
-        32,
-    );
+    let (again, converged_again) =
+        repair_sum_violations_frozen(&repaired, &outcome.fds, &outcome.sums, &mut fresh, 32);
     assert!(converged_again);
     assert_eq!(
         again.len(),

@@ -29,6 +29,10 @@ fn structured_graphs_satisfy_the_connectivity_pd() {
         ("tree", random_tree(30, 3)),
         ("gnp-sparse", gnp(40, 0.03, 5)),
         ("gnp-dense", gnp(25, 0.3, 6)),
+        ("gnp-32-mean-degree-4", gnp(32, 4.0 / 32.0, 17)),
+        ("gnp-64-mean-degree-4", gnp(64, 4.0 / 64.0, 17)),
+        ("gnp-128-mean-degree-4", gnp(128, 4.0 / 128.0, 17)),
+        ("gnp-256-mean-degree-4", gnp(256, 4.0 / 256.0, 17)),
     ];
     for (name, graph) in graphs {
         let (relation, encoding) =
