@@ -30,7 +30,7 @@ use crate::json::Json;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// The bench id stamped into reports produced by this crate version.
-pub const BENCH_ID: &str = "BENCH_9";
+pub const BENCH_ID: &str = "BENCH_10";
 
 /// The procedures a full report must cover: one per decision procedure of
 /// the paper (Theorems 9, 10, 12, 11 and 4 respectively) plus, from
@@ -89,7 +89,7 @@ pub struct TrajectoryReport {
     /// Schema version ([`SCHEMA_VERSION`] for reports written by this
     /// crate).
     pub schema_version: u64,
-    /// The bench id (`"BENCH_9"` for this PR's pinned suite).
+    /// The bench id (`"BENCH_10"` for the current pinned suite).
     pub bench_id: String,
     /// `rustc --version` of the producing toolchain (`"unknown"` when
     /// unavailable).

@@ -166,7 +166,7 @@ impl BitMatrix {
     /// that became set to `delta`.  Returns `true` if `dst` changed.
     ///
     /// The saturation engine uses the delta to mirror new arcs into the
-    /// transposed matrix and to seed its worklist.
+    /// transposed matrix and to queue them for propagation.
     pub fn or_row_into_delta(&mut self, src: usize, dst: usize, delta: &mut Vec<usize>) -> bool {
         if src == dst {
             return false;

@@ -31,10 +31,10 @@
 //!   and their transpose), answers arbitrarily many [`ImplicationEngine::leq`]
 //!   / [`ImplicationEngine::entails`] queries without re-saturating, and
 //!   grows on demand: [`ImplicationEngine::add_goal_terms`] appends new
-//!   subterms to `V` and re-saturates only the worklist frontier seeded by
-//!   the new rows/columns.  Rules 2–5 and transitivity fire as word-parallel
-//!   row OR/AND operations ([`BitMatrix::or_row_into_delta`],
-//!   [`BitMatrix::or_and_rows_into_delta`]) instead of per-pair probes, and a
+//!   subterms to `V` and propagates only the arcs that involve them.
+//!   Saturation is semi-naive — each arc is propagated once — and
+//!   transitivity fires as word-parallel row ORs
+//!   ([`BitMatrix::or_row_into_delta`]) instead of per-pair probes, and a
 //!   rule-firing counter ([`ImplicationEngine::rule_firings`]) exposes the
 //!   work done so the benchmark suite can assert that build-once-query-many
 //!   does strictly less work than rebuilding per goal.
@@ -46,7 +46,7 @@
 //! The one-shot conveniences ([`entails`], [`entails_many`], [`leq_many`],
 //! [`entails_leq`]) take an [`Algorithm`] naming which of the two answers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use ps_base::Universe;
 
@@ -59,10 +59,10 @@ pub enum Algorithm {
     /// all rule instances each round ([`DerivedOrder`]).  Straightforward
     /// `O(n⁴)`.
     NaiveFixpoint,
-    /// Incremental worklist propagation ([`ImplicationEngine`]): each newly
-    /// inserted arc fires only the rule instances it can participate in, as
-    /// word-parallel row operations.  Same closure, lower constant and better
-    /// asymptotics in practice.
+    /// Semi-naive propagation ([`ImplicationEngine`]): each newly inserted
+    /// arc is propagated once and fires only the rule instances it can
+    /// participate in, with transitivity as word-parallel row operations.
+    /// Same closure, lower constant and better asymptotics in practice.
     #[default]
     Worklist,
 }
@@ -216,8 +216,9 @@ impl DerivedOrder {
     }
 }
 
-/// The paper's repeat-until-stable saturation.
-fn saturate_naive(
+/// The paper's repeat-until-stable saturation: the pinned reference for
+/// [`ImplicationEngine`]'s semi-naive saturator (`saturate`).
+pub(crate) fn saturate_naive(
     arena: &TermArena,
     terms: &[TermId],
     dense: &HashMap<TermId, usize>,
@@ -313,25 +314,32 @@ struct Occurrences {
 /// plus whatever goal terms have been added) and the saturated derived order
 /// `Γ`, stored twice for word-parallelism: `succ` holds successor rows
 /// (`succ[i][j]` iff `terms[i] ≤_E terms[j]`) and `pred` its transpose.
-/// Rules 2–5 and transitivity all become row OR / AND-OR operations on one
-/// of the two matrices, so saturation moves 64 arcs per word instead of
-/// probing pairs:
+/// Transitivity, and the first firing of rules 2–5 for a new composite,
+/// are row OR / AND-OR operations on one of the two matrices, so they move
+/// 64 arcs per word instead of probing pairs:
 ///
 /// * rule 3 (meet `c = l*r`): `succ[c] |= succ[l]` (and symmetrically `r`);
 /// * rule 2 (join `c = l+r`): `succ[c] |= succ[l] & succ[r]`;
 /// * rule 5 (join `c = l+r`): `pred[c] |= pred[l]` (and symmetrically `r`);
 /// * rule 4 (meet `c = l*r`): `pred[c] |= pred[l] & pred[r]`;
-/// * rule 7 (transitivity): `succ[u] |= succ[x]` for `u ∈ pred[x]`, and
-///   `pred[v] |= pred[x]` for `v ∈ succ[x]`.
+/// * rule 7 (transitivity), for each new arc `(x, w)`: `pred[w] |= pred[x]`
+///   and `succ[x] |= succ[w]`.
 ///
-/// A worklist of dirty terms drives the fixpoint: every newly inserted arc
-/// `(u, v)` marks `u` successor-dirty and `v` predecessor-dirty, and only
-/// dirty rows re-fire their rules.  [`ImplicationEngine::add_goal_terms`]
+/// Saturation is semi-naive: every newly inserted arc `(x, w)` is queued
+/// once and propagated once, against the full rows of its endpoints —
+/// transitivity runs `pred[w] |= pred[x]` and `succ[x] |= succ[w]`, and
+/// rules 2–5 fire per arc against the composites `x` and `w` are children
+/// of (rule 3 sets `(c, w)` for a meet `c = x*sib`, rule 2 does so for a
+/// join when `(sib, w)` holds; rules 5 and 4 are the mirror images on `w`'s
+/// side).  Whichever of two premises is propagated second sees the other
+/// already in `Γ`, so no pair is missed, and no row is ever re-ORed for an
+/// arc it has already absorbed.  [`ImplicationEngine::add_goal_terms`]
 /// reuses exactly that machinery for incremental extension: new subterms get
 /// fresh (reflexive) rows, the rules of the new composites are seeded once
-/// against the already-saturated rows of their children, and the worklist
-/// drains the frontier — the closure over the old `V` is never recomputed
-/// (by Lemma 9.2 it cannot change).
+/// against the already-saturated rows of their children, and only the arcs
+/// this inserts are propagated — the closure over the old `V` is never
+/// recomputed (by Lemma 9.2 it cannot change), so an extension costs about
+/// its new arcs times the words per row.
 ///
 /// ```
 /// use ps_base::Universe;
@@ -345,7 +353,7 @@ struct Occurrences {
 /// ];
 /// // Build once…
 /// let mut engine = ImplicationEngine::new(&arena, &e);
-/// // …query many goals; V grows on demand, re-saturating only the frontier.
+/// // …query many goals; V grows on demand, propagating only the new arcs.
 /// let goal = parse_equation("A = A*C", &mut universe, &mut arena).unwrap();
 /// let converse = parse_equation("C = C*A", &mut universe, &mut arena).unwrap();
 /// assert_eq!(engine.entails_many(&arena, &[goal, converse]), vec![true, false]);
@@ -369,16 +377,12 @@ pub struct ImplicationEngine {
     pred: BitMatrix,
     /// Child → parent-composite occurrence lists.
     occ: Vec<Occurrences>,
-    /// Worklist state: terms whose successor / predecessor row changed.
-    s_dirty: Vec<bool>,
-    p_dirty: Vec<bool>,
-    queued: Vec<bool>,
-    queue: VecDeque<usize>,
+    /// Semi-naive deltas: the arcs `(u, v)` inserted but not yet
+    /// propagated.  Empty, with no capacity, whenever `saturate` returns, so
+    /// a frozen copy of the engine carries none of it.
+    pending: Vec<(u32, u32)>,
     /// Scratch buffer for row-operation deltas (reused across firings).
     scratch: Vec<usize>,
-    /// Scratch buffer for row snapshots taken while processing a dirty term
-    /// (reused across worklist pops to avoid per-pop allocations).
-    row_buf: Vec<usize>,
     /// Arcs inserted by rule applications (same unit as
     /// [`DerivedOrder::rule_firings`]).
     rule_firings: usize,
@@ -400,12 +404,8 @@ impl ImplicationEngine {
             succ: BitMatrix::new(0),
             pred: BitMatrix::new(0),
             occ: Vec::new(),
-            s_dirty: Vec::new(),
-            p_dirty: Vec::new(),
-            queued: Vec::new(),
-            queue: VecDeque::new(),
+            pending: Vec::new(),
             scratch: Vec::new(),
-            row_buf: Vec::new(),
             rule_firings: 0,
             row_ops: 0,
         };
@@ -434,8 +434,8 @@ impl ImplicationEngine {
     }
 
     /// Extends `V` with every subterm of `terms` that is not yet present and
-    /// re-saturates incrementally: only the worklist frontier seeded by the
-    /// new rows/columns is processed, never the already-saturated closure.
+    /// re-saturates incrementally: only the arcs the new rows/columns bring
+    /// are propagated, never the already-saturated closure.
     /// Returns the number of terms actually added (0 is a no-op).
     pub fn add_goal_terms(&mut self, arena: &TermArena, terms: &[TermId]) -> usize {
         let added = self.add_terms(arena, terms);
@@ -447,8 +447,8 @@ impl ImplicationEngine {
 
     /// Appends `new_equations` to the constraint set `E` and re-saturates
     /// incrementally: each new equation's subterms join `V`, its rule-6 arcs
-    /// are seeded against the already-saturated closure, and the worklist
-    /// drains only the affected frontier.  Saturation is monotone in `E`
+    /// are seeded against the already-saturated closure, and only the arcs
+    /// they derive are propagated.  Saturation is monotone in `E`
     /// (adding an equation can only grow `Γ`), so the closure over the old
     /// set is reused, never recomputed — the same discipline
     /// [`ImplicationEngine::add_goal_terms`] applies to `V` growth.
@@ -626,9 +626,9 @@ impl ImplicationEngine {
 
     /// Appends every not-yet-present subterm of `roots` to `V`, growing the
     /// matrices and occurrence lists, setting reflexive arcs for the new
-    /// rows and seeding the rules of the new composites against the
-    /// (already saturated) rows of their children.  Does **not** drain the
-    /// worklist — callers follow up with [`ImplicationEngine::saturate`].
+    /// rows, seeding the rules of the new composites against the rows of
+    /// their children and propagating what that inserts.  Callers follow
+    /// up with [`ImplicationEngine::saturate`].
     fn add_terms(&mut self, arena: &TermArena, roots: &[TermId]) -> usize {
         let old_n = self.terms.len();
         for &root in roots {
@@ -646,207 +646,102 @@ impl ImplicationEngine {
         self.succ.grow(new_n);
         self.pred.grow(new_n);
         self.occ.resize_with(new_n, Occurrences::default);
-        self.s_dirty.resize(new_n, false);
-        self.p_dirty.resize(new_n, false);
-        self.queued.resize(new_n, false);
 
-        // Occurrence lists for the new composites.  Children of a new
-        // composite are always in V already (subterms are added child-first),
-        // but may be *old* terms — which is exactly why the rules below must
-        // be seeded explicitly: old children are clean and will never re-fire
-        // on their own.
+        // One term at a time, children first: its reflexive arc (rule 1),
+        // then, for a composite, its occurrence entries and one firing of its
+        // rules against the current rows of its children.  The seeding is
+        // needed because the children may be *old* terms, whose arcs were
+        // propagated before the composite existed and never will be again.
+        // The one-premise rules (3 and 5) take both children in a single
+        // batched row union, so the composite row is walked once.  What a
+        // term inserts is propagated before the next term, so the pending
+        // queue holds about two rows of arcs at a time.
         for i in old_n..new_n {
+            self.insert_arc(i, i);
             match arena.node(self.terms[i]) {
                 TermNode::Meet(l, r) => {
                     let (dl, dr) = (self.dense[&l], self.dense[&r]);
                     self.occ[dl].meets.push((i, dr));
                     self.occ[dr].meets.push((i, dl));
+                    // Rule 3 (either child), then rule 4 (both children).
+                    self.grow_succ(i, 2, |m, d| m.union_rows_into_delta(&[dl, dr], i, d));
+                    self.grow_pred(i, 1, |m, d| m.or_and_rows_into_delta(dl, dr, i, d));
                 }
                 TermNode::Join(l, r) => {
                     let (dl, dr) = (self.dense[&l], self.dense[&r]);
                     self.occ[dl].joins.push((i, dr));
                     self.occ[dr].joins.push((i, dl));
+                    // Rule 2 (both children), then rule 5 (either child).
+                    self.grow_succ(i, 1, |m, d| m.or_and_rows_into_delta(dl, dr, i, d));
+                    self.grow_pred(i, 2, |m, d| m.union_rows_into_delta(&[dl, dr], i, d));
                 }
                 TermNode::Atom(_) => {}
             }
-        }
-        // Rule 1 (reflexivity) for the new rows; marks them dirty so
-        // transitivity through existing arcs fires when the worklist drains.
-        for i in old_n..new_n {
-            self.insert_arc(i, i);
-        }
-        // Seed the frontier: each new composite fires its rules once against
-        // the current rows of its children.  The one-premise rules (3 and 5)
-        // take both children in a single batched row union, so the composite
-        // row is walked once per seeding instead of once per child.
-        for i in old_n..new_n {
-            match arena.node(self.terms[i]) {
-                TermNode::Meet(l, r) => {
-                    let (dl, dr) = (self.dense[&l], self.dense[&r]);
-                    self.union_succ(&[dl, dr], i); // rule 3 (either child)
-                    self.or_and_pred(dl, dr, i); // rule 4
-                }
-                TermNode::Join(l, r) => {
-                    let (dl, dr) = (self.dense[&l], self.dense[&r]);
-                    self.or_and_succ(dl, dr, i); // rule 2
-                    self.union_pred(&[dl, dr], i); // rule 5 (either child)
-                }
-                TermNode::Atom(_) => {}
-            }
+            self.propagate_pending();
         }
         new_n - old_n
     }
 
-    /// Inserts the arc `terms[u] ≤_E terms[v]`, mirroring it into the
-    /// transpose and marking both endpoints dirty.
+    /// Inserts the arc `terms[u] ≤_E terms[v]` if it is new, mirroring it
+    /// into the transpose and queueing it for propagation.
     fn insert_arc(&mut self, u: usize, v: usize) {
         if self.succ.set(u, v) {
             self.pred.set(v, u);
-            self.rule_firings += 1;
-            self.mark_s_dirty(u);
-            self.mark_p_dirty(v);
+            self.book_arc(u, v);
         }
     }
 
-    fn mark_s_dirty(&mut self, x: usize) {
-        if !self.s_dirty[x] {
-            self.s_dirty[x] = true;
-            if !self.queued[x] {
-                self.queued[x] = true;
-                self.queue.push_back(x);
-            }
-        }
+    /// Counts the arc `(u, v)`, just set in both matrices, and queues it.
+    fn book_arc(&mut self, u: usize, v: usize) {
+        self.rule_firings += 1;
+        self.pending.push((dense_u32(u), dense_u32(v)));
     }
 
-    fn mark_p_dirty(&mut self, x: usize) {
-        if !self.p_dirty[x] {
-            self.p_dirty[x] = true;
-            if !self.queued[x] {
-                self.queued[x] = true;
-                self.queue.push_back(x);
-            }
-        }
-    }
-
-    /// `succ[dst] |= succ[src]`, mirroring every newly reachable term into
-    /// `pred` and marking the affected terms dirty.
-    fn or_succ(&mut self, src: usize, dst: usize) {
-        self.row_ops += 1;
+    /// One row operation on `succ` that may grow row `dst` (`ops` counts
+    /// the source rows it reads); every new successor `w` is mirrored into
+    /// `pred` and booked as the arc `(dst, w)`.
+    fn grow_succ(
+        &mut self,
+        dst: usize,
+        ops: usize,
+        op: impl FnOnce(&mut BitMatrix, &mut Vec<usize>) -> bool,
+    ) {
+        self.row_ops += ops;
         let mut delta = std::mem::take(&mut self.scratch);
         delta.clear();
-        self.succ.or_row_into_delta(src, dst, &mut delta);
-        for &t in &delta {
-            self.pred.set(t, dst);
-            self.rule_firings += 1;
-            self.mark_p_dirty(t);
-        }
-        if !delta.is_empty() {
-            self.mark_s_dirty(dst);
+        op(&mut self.succ, &mut delta);
+        for &w in &delta {
+            self.pred.set(w, dst);
+            self.book_arc(dst, w);
         }
         self.scratch = delta;
     }
 
-    /// `succ[dst] |= succ[s]` for every `s` in `srcs`, batched: one pass
-    /// over `dst`'s row, one delta extraction, with mirroring.
-    fn union_succ(&mut self, srcs: &[usize], dst: usize) {
-        self.row_ops += srcs.len();
+    /// The mirror image of [`ImplicationEngine::grow_succ`]: every new
+    /// predecessor `u` of `dst` is mirrored into `succ` and booked as the
+    /// arc `(u, dst)`.
+    fn grow_pred(
+        &mut self,
+        dst: usize,
+        ops: usize,
+        op: impl FnOnce(&mut BitMatrix, &mut Vec<usize>) -> bool,
+    ) {
+        self.row_ops += ops;
         let mut delta = std::mem::take(&mut self.scratch);
         delta.clear();
-        self.succ.union_rows_into_delta(srcs, dst, &mut delta);
-        for &t in &delta {
-            self.pred.set(t, dst);
-            self.rule_firings += 1;
-            self.mark_p_dirty(t);
-        }
-        if !delta.is_empty() {
-            self.mark_s_dirty(dst);
+        op(&mut self.pred, &mut delta);
+        for &u in &delta {
+            self.succ.set(u, dst);
+            self.book_arc(u, dst);
         }
         self.scratch = delta;
     }
 
-    /// `pred[dst] |= pred[s]` for every `s` in `srcs`, batched, with
-    /// mirroring.
-    fn union_pred(&mut self, srcs: &[usize], dst: usize) {
-        self.row_ops += srcs.len();
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.pred.union_rows_into_delta(srcs, dst, &mut delta);
-        for &s in &delta {
-            self.succ.set(s, dst);
-            self.rule_firings += 1;
-            self.mark_s_dirty(s);
-        }
-        if !delta.is_empty() {
-            self.mark_p_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `succ[dst] |= succ[a] & succ[b]` (rule 2), with mirroring.
-    fn or_and_succ(&mut self, a: usize, b: usize, dst: usize) {
-        self.row_ops += 1;
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.succ.or_and_rows_into_delta(a, b, dst, &mut delta);
-        for &t in &delta {
-            self.pred.set(t, dst);
-            self.rule_firings += 1;
-            self.mark_p_dirty(t);
-        }
-        if !delta.is_empty() {
-            self.mark_s_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `pred[dst] |= pred[src]`, mirroring every new predecessor into
-    /// `succ` and marking the affected terms dirty.
-    fn or_pred(&mut self, src: usize, dst: usize) {
-        self.row_ops += 1;
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.pred.or_row_into_delta(src, dst, &mut delta);
-        for &s in &delta {
-            self.succ.set(s, dst);
-            self.rule_firings += 1;
-            self.mark_s_dirty(s);
-        }
-        if !delta.is_empty() {
-            self.mark_p_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `pred[dst] |= pred[a] & pred[b]` (rule 4), with mirroring.
-    fn or_and_pred(&mut self, a: usize, b: usize, dst: usize) {
-        self.row_ops += 1;
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.pred.or_and_rows_into_delta(a, b, dst, &mut delta);
-        for &s in &delta {
-            self.succ.set(s, dst);
-            self.rule_firings += 1;
-            self.mark_s_dirty(s);
-        }
-        if !delta.is_empty() {
-            self.mark_p_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// Drains the dirty-term worklist to the fixpoint.
-    fn saturate(&mut self) {
-        while let Some(x) = self.queue.pop_front() {
-            self.queued[x] = false;
-            if self.s_dirty[x] {
-                self.s_dirty[x] = false;
-                self.process_succ_dirty(x);
-            }
-            if self.p_dirty[x] {
-                self.p_dirty[x] = false;
-                self.process_pred_dirty(x);
-            }
-        }
+    /// Propagates every pending arc to the fixpoint and releases the
+    /// queue's capacity (frozen copies clone the engine).
+    pub(crate) fn saturate(&mut self) {
+        self.propagate_pending();
+        self.pending = Vec::new();
         debug_assert_eq!(
             self.rule_firings,
             self.succ.count_ones(),
@@ -854,60 +749,55 @@ impl ImplicationEngine {
         );
     }
 
-    /// `succ[x]` changed: propagate it backwards along transitivity and
-    /// upwards into the composites `x` is a child of (rules 3 and 2).
-    fn process_succ_dirty(&mut self, x: usize) {
-        // Rule 7: (u, x) and (x, w) give (u, w) — every predecessor of x
-        // absorbs x's successor row.  The snapshot is taken into a reused
-        // buffer because the row ops below may grow pred[x] itself (any
-        // additions re-mark x dirty, so nothing is missed).
-        let mut preds = std::mem::take(&mut self.row_buf);
-        preds.clear();
-        preds.extend(self.pred.iter_row(x));
-        for &u in &preds {
-            if u != x {
-                self.or_succ(x, u);
-            }
-        }
-        self.row_buf = preds;
-        // Rule 3: for meets c = x*sib (either child suffices).
-        for k in 0..self.occ[x].meets.len() {
-            let (c, _sibling) = self.occ[x].meets[k];
-            self.or_succ(x, c);
-        }
-        // Rule 2: for joins c = x+sib (both children required).
-        for k in 0..self.occ[x].joins.len() {
-            let (c, sibling) = self.occ[x].joins[k];
-            self.or_and_succ(x, sibling, c);
+    /// Drains the pending queue.  Each arc is propagated exactly once; an
+    /// arc it derives is queued in turn.
+    fn propagate_pending(&mut self) {
+        while let Some((x, w)) = self.pending.pop() {
+            self.propagate_arc(x as usize, w as usize);
         }
     }
 
-    /// `pred[x]` changed: propagate it forwards along transitivity and
-    /// upwards into the composites `x` is a child of (rules 5 and 4).
-    fn process_pred_dirty(&mut self, x: usize) {
-        // Rule 7: (s, x) and (x, v) give (s, v) — every successor of x
-        // absorbs x's predecessor row (snapshot into the reused buffer, as
-        // in `process_succ_dirty`).
-        let mut succs = std::mem::take(&mut self.row_buf);
-        succs.clear();
-        succs.extend(self.succ.iter_row(x));
-        for &v in &succs {
-            if v != x {
-                self.or_pred(x, v);
+    /// Fires every rule the new arc `x ≤ w` is a premise of, against the
+    /// current rows.  A rule whose other premise is not in `Γ` yet fires
+    /// when that premise is propagated.
+    fn propagate_arc(&mut self, x: usize, w: usize) {
+        if x != w {
+            // Rule 7: (u, x) and (x, w) give (u, w); (x, w) and (w, v) give
+            // (x, v).
+            self.grow_pred(w, 1, |m, d| m.or_row_into_delta(x, w, d));
+            self.grow_succ(x, 1, |m, d| m.or_row_into_delta(w, x, d));
+        }
+        // `w` is a new upper bound of `x`, hence of the composites built on
+        // `x`: rule 3 for meets c = x*sib (either child suffices) and rule 2
+        // for joins c = x+sib (the sibling must lie below `w` too).
+        for k in 0..self.occ[x].meets.len() {
+            let (c, _sibling) = self.occ[x].meets[k];
+            self.insert_arc(c, w);
+        }
+        for k in 0..self.occ[x].joins.len() {
+            let (c, sibling) = self.occ[x].joins[k];
+            if self.succ.get(sibling, w) {
+                self.insert_arc(c, w);
             }
         }
-        self.row_buf = succs;
-        // Rule 5: for joins c = x+sib (either child suffices).
-        for k in 0..self.occ[x].joins.len() {
-            let (c, _sibling) = self.occ[x].joins[k];
-            self.or_pred(x, c);
+        // Mirror image: `x` is a new lower bound of `w`: rule 5 for joins
+        // c = w+sib and rule 4 for meets c = w*sib.
+        for k in 0..self.occ[w].joins.len() {
+            let (c, _sibling) = self.occ[w].joins[k];
+            self.insert_arc(x, c);
         }
-        // Rule 4: for meets c = x*sib (both children required).
-        for k in 0..self.occ[x].meets.len() {
-            let (c, sibling) = self.occ[x].meets[k];
-            self.or_and_pred(x, sibling, c);
+        for k in 0..self.occ[w].meets.len() {
+            let (c, sibling) = self.occ[w].meets[k];
+            if self.succ.get(x, sibling) {
+                self.insert_arc(x, c);
+            }
         }
     }
+}
+
+/// A dense index as stored in the pending-arc queue.
+fn dense_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("V has fewer than 2^32 terms")
 }
 
 /// `≤_E` over `V` = the subterms of `E` and of some extra terms, saturated
@@ -1370,6 +1260,86 @@ mod tests {
         // An already-entailed equation inserts nothing new.
         let noop = f.eq("A*B=A");
         assert_eq!(incremental.add_equations(&f.arena, &[noop]), 0);
+    }
+
+    /// The FPD cycle `A0 ≤ A1 ≤ … ≤ A15 ≤ A0`: every term over its atoms
+    /// lands in one `≡_E` class, so each new term gains an arc to and from
+    /// every term of `V`.
+    fn fpd_cycle(f: &mut Fixture, n: usize) -> Vec<Equation> {
+        (0..n)
+            .map(|i| f.eq(&format!("A{i} = A{i}*A{}", (i + 1) % n)))
+            .collect()
+    }
+
+    /// A goal with three atom occurrences a side, drawn by an LCG seeded
+    /// with `k`.
+    fn cycle_goal(f: &mut Fixture, n: usize, k: usize) -> Equation {
+        let mut state = k as u64;
+        let mut atom = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            format!("A{}", (state >> 33) as usize % n)
+        };
+        let (a, b, c, d, e, g) = (atom(), atom(), atom(), atom(), atom(), atom());
+        f.eq(&format!("({a}*{b})+{c} = {d}*({e}+{g})"))
+    }
+
+    #[test]
+    fn warm_extension_pays_row_ops_per_new_arc_not_per_row() {
+        let mut f = Fixture::new();
+        let e = fpd_cycle(&mut f, 16);
+        let warm: Vec<Equation> = (0..20).map(|k| cycle_goal(&mut f, 16, k)).collect();
+        let fresh = cycle_goal(&mut f, 16, 20);
+        let mut engine = ImplicationEngine::new(&f.arena, &e);
+        assert!(engine.entails_many(&f.arena, &warm).iter().all(|&v| v));
+
+        let (arcs0, ops0) = (engine.num_arcs(), engine.row_ops());
+        assert!(engine.entails_goal(&f.arena, fresh));
+        let arcs = engine.num_arcs() - arcs0;
+        let ops = engine.row_ops() - ops0;
+        assert!(arcs > 0, "the fresh goal must add terms to V");
+        // Each new arc is propagated once (two row ops), plus a few seeding
+        // ops per new composite; re-ORing whole rows into every neighbour
+        // costs dozens of row ops per arc here.
+        assert!(
+            ops <= 4 * arcs,
+            "{ops} row ops for {arcs} new arcs: the warm extension re-propagated old arcs"
+        );
+        assert_eq!(engine.rule_firings(), engine.num_arcs());
+    }
+
+    #[test]
+    fn saturate_matches_saturate_naive_bit_for_bit() {
+        let mut f = Fixture::new();
+        let cycle = fpd_cycle(&mut f, 6);
+        let cycle_goals: Vec<Equation> = (0..4).map(|k| cycle_goal(&mut f, 6, k)).collect();
+        let mixed = vec![
+            f.eq("A=A*B"),
+            f.eq("C=B+D"),
+            f.eq("D=D*(A+C)"),
+            f.eq("E=A*C"),
+        ];
+        let mixed_goals = vec![f.eq("A+D=C+A"), f.eq("E*(B+D)=A"), f.eq("A*(A+B)=A")];
+        for (e, goals) in [(cycle, cycle_goals), (mixed, mixed_goals)] {
+            // Extend goal by goal so the comparison covers warm extensions.
+            let mut engine = ImplicationEngine::new(&f.arena, &e);
+            for &g in &goals {
+                engine.entails_goal(&f.arena, g);
+            }
+            let mut gamma = BitMatrix::new(engine.terms.len());
+            for i in 0..engine.terms.len() {
+                gamma.set(i, i);
+            }
+            for eq in &e {
+                let (i, j) = (engine.dense[&eq.lhs], engine.dense[&eq.rhs]);
+                gamma.set(i, j);
+                gamma.set(j, i);
+            }
+            saturate_naive(&f.arena, &engine.terms, &engine.dense, &mut gamma);
+            assert!(gamma == engine.succ, "engine and fixpoint disagree on Γ");
+            assert_eq!(engine.rule_firings(), gamma.count_ones());
+        }
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //!    extension, and batched queries alike — is pinned to the
 //!    `NaiveFixpoint` reference strategy on random equation sets;
 //! 5. the term/equation printers round-trip through the parser onto the
-//!    same hash-consed [`TermId`]s.
+//!    same hash-consed [`TermId`]s;
+//! 6. on collapsing sets (random full and partial FPD cycles, where whole
+//!    classes of terms become equivalent and every new goal term gains arcs
+//!    to most of `V`), the engine extended one goal at a time keeps the
+//!    reference's verdicts and arc count after every extension.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -32,6 +36,11 @@ fn universe() -> (Universe, Vec<Attribute>) {
     (u, attrs)
 }
 
+/// Eight attributes, for the FPD cycles.
+fn cycle_attributes() -> Vec<Attribute> {
+    Universe::new().attrs(["A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7"])
+}
+
 /// A strategy producing random term *shapes*: 0 = atom, 1 = meet, 2 = join,
 /// encoded as a recursive tree.
 #[derive(Debug, Clone)]
@@ -42,7 +51,13 @@ enum Shape {
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
-    let leaf = (0u8..4).prop_map(Shape::Atom);
+    arb_shape_over(4)
+}
+
+/// Shapes whose atoms index `atoms` attributes (reduced modulo the slice
+/// [`build`] is given).
+fn arb_shape_over(atoms: u8) -> impl Strategy<Value = Shape> {
+    let leaf = (0u8..atoms).prop_map(Shape::Atom);
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(l, r)| Shape::Meet(Box::new(l), Box::new(r))),
@@ -255,6 +270,54 @@ proptest! {
             for lattice in [FiniteLattice::m3(), FiniteLattice::n5(), FiniteLattice::chain(4)] {
                 prop_assert!(lattice.satisfies_identity(&arena, eq, &u).unwrap());
             }
+        }
+    }
+
+    #[test]
+    fn engine_extended_goal_by_goal_matches_the_fixpoint_on_fpd_cycles(
+        len in 2usize..9,
+        full in 0u8..2,
+        dropped in prop::collection::vec(0usize..8, 1..3),
+        extra_shapes in prop::collection::vec((arb_shape_over(8), arb_shape_over(8)), 0..2),
+        goal_shapes in prop::collection::vec((arb_shape_over(8), arb_shape_over(8)), 8..12),
+    ) {
+        let attrs = cycle_attributes();
+        let attrs = &attrs[..len];
+        let mut arena = TermArena::new();
+        // Link i is the FPD A_i = A_i * A_{i+1 mod len}: a full cycle
+        // collapses every atom into one class; a partial one drops links.
+        let mut equations = Vec::new();
+        for i in 0..len {
+            if full == 0 && dropped.iter().any(|&d| d % len == i) {
+                continue;
+            }
+            let (a, b) = (arena.atom(attrs[i]), arena.atom(attrs[(i + 1) % len]));
+            let ab = arena.meet(a, b);
+            equations.push(Equation::new(a, ab));
+        }
+        for (l, r) in &extra_shapes {
+            equations.push(Equation::new(build(l, attrs, &mut arena), build(r, attrs, &mut arena)));
+        }
+        let goals: Vec<Equation> = goal_shapes
+            .iter()
+            .map(|(l, r)| Equation::new(build(l, attrs, &mut arena), build(r, attrs, &mut arena)))
+            .collect();
+
+        let mut engine = ImplicationEngine::new(&arena, &equations);
+        let mut goal_terms = Vec::new();
+        for (i, &goal) in goals.iter().enumerate() {
+            let verdict = engine.entails_goal(&arena, goal);
+            if full == 1 {
+                prop_assert!(verdict, "a full FPD cycle entails every goal over its atoms");
+            }
+            goal_terms.extend([goal.lhs, goal.rhs]);
+            let order = word_problem::DerivedOrder::build(&arena, &equations, &goal_terms);
+            for &g in &goals[..=i] {
+                prop_assert_eq!(engine.entails(g), order.entails(g));
+            }
+            prop_assert_eq!(engine.terms().len(), order.terms().len());
+            prop_assert_eq!(engine.num_arcs(), order.num_arcs());
+            prop_assert_eq!(engine.rule_firings(), engine.num_arcs());
         }
     }
 }

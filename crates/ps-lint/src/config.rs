@@ -23,6 +23,9 @@ pub const NAIVE_PAIRS: &[(&str, &str)] = &[
     ("chase_fds_over_frozen", "chase_fds_naive"),
     // ps-relation: linear Beeri–Bernstein counter closure vs. naive loop.
     ("attribute_closure", "attribute_closure_naive"),
+    // ps-lattice: ImplicationEngine's semi-naive ALG saturation vs. the
+    // paper's repeat-until-stable fixpoint.
+    ("saturate", "saturate_naive"),
     // ps-lattice: word-parallel BitMatrix delta kernels vs. per-bit loops.
     ("or_row_into_delta", "or_row_into_delta_per_bit"),
     ("or_and_rows_into_delta", "or_and_rows_into_delta_per_bit"),
