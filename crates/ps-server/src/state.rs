@@ -5,8 +5,8 @@
 //! *writer* thread.  [`ServerCore::resolve`] is the writer half of a
 //! request: it parses PDs and goals into the session's interners, applies
 //! mutations, and freezes the target set into an `Arc<SetSnapshot>`
-//! (PR 7 epoch discipline: stale snapshots are re-frozen, live mutations
-//! can never disturb a snapshot already handed out).  The result is either
+//! (epoch discipline: stale snapshots are re-frozen, live mutations can
+//! never disturb a snapshot already handed out).  The result is either
 //! a finished [`Response`] (mutations, errors) or a [`ComputeTask`]: an
 //! owned, `Send` bundle of snapshot + parsed inputs that any *reader*
 //! thread can finish via [`ServerCore::compute`] without touching the
@@ -21,16 +21,15 @@
 //!
 //! * the query's own compute work (chase `row_visits`, one `engine_hits`
 //!   per batch — identical to the sequential [`Session`] conventions), and
-//! * the *charged* part of any snapshot freeze the query forced: the first
-//!   freeze of a set, a re-freeze after an epoch bump, and a re-freeze
-//!   extending the engine vocabulary with the query's goals.  Each of
-//!   these is determined by the target set's own history.
+//! * the work of any snapshot freeze the query forced: the first freeze of
+//!   a set, a re-freeze after an epoch bump, and a re-freeze extending the
+//!   engine vocabulary with the query's goals.  Each of these is
+//!   determined by the target set's own history.
 //!
-//! A re-freeze forced only by *global* interner growth (another client
-//! interned attributes or symbols since the cached snapshot was taken) is
-//! interleaving-dependent, so it is deliberately **uncharged**: the
-//! session totals (visible through `stats`) still count it, the response
-//! counters do not.
+//! Those are the only reasons to freeze again.  Interner growth by other
+//! clients never makes a cached snapshot stale: fresh nulls live in a
+//! tagged namespace no constant can reach, and growing `V` never changes
+//! the arcs already derived (Lemma 9.2).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,19 +43,10 @@ use ps_session::{
 
 use crate::proto::{DatabaseSpec, ErrorKind, Op, Payload, Request, Response, WireError};
 
-/// A cached freeze of one named set, plus the interner lengths observed at
-/// freeze time (the staleness probe for uncharged re-freezes).
-struct CachedSnapshot {
-    snapshot: Arc<SetSnapshot>,
-    universe_len: usize,
-    symbols_len: usize,
-    arena_len: usize,
-}
-
 /// One named constraint set: the session handle plus the snapshot cache.
 struct SetState {
     id: ConstraintSetId,
-    cached: Option<CachedSnapshot>,
+    cached: Option<Arc<SetSnapshot>>,
 }
 
 /// The work a reader thread finishes after the writer resolved a request:
@@ -156,12 +146,6 @@ impl ServerCore {
     /// values; reader threads take their own copy).
     pub fn executor(&self) -> ParallelExecutor {
         self.executor
-    }
-
-    /// Cumulative session counters (everything ever charged to the session,
-    /// uncharged re-freezes included) — surfaced by the `stats` op.
-    pub fn session_totals(&self) -> Counters {
-        self.session.counters()
     }
 
     /// Resolves a request on the writer thread: mutations are applied and
@@ -343,9 +327,10 @@ impl ServerCore {
     }
 
     fn resolve_db_query(&mut self, set: &str, spec: &DatabaseSpec, weak: bool) -> ResolveResult {
-        // Intern the database first so the snapshot freeze (stale or
-        // grown-only) covers its symbols; fresh nulls minted against the
-        // frozen table then can never collide with database symbols.
+        // A cached snapshot answers databases over constants interned after
+        // it was frozen: the chase reads symbols only through their
+        // constant/null tag, and padding nulls start above every null
+        // already in the database.
         let db = self.build_database(spec)?;
         let (snapshot, base) = self.ensure_snapshot(set, &[])?;
         let kind = if weak {
@@ -413,9 +398,9 @@ impl ServerCore {
     }
 
     /// Returns a snapshot of the named set covering `goals`, plus the
-    /// *charged* freeze counters (see the module docs for the policy:
-    /// set-history-driven freezes are charged, global-interner-growth
-    /// re-freezes are not).
+    /// counters of the freeze the query forced (zero on a cache hit).  A
+    /// cached snapshot is stale only when the set's epoch moved or a goal
+    /// falls outside its vocabulary `V`.
     fn ensure_snapshot(
         &mut self,
         set: &str,
@@ -427,30 +412,18 @@ impl ServerCore {
             epoch,
             ..Counters::default()
         };
-        let state = self.sets.get(set).expect("set_id just resolved the name");
+        let state = self
+            .sets
+            .get_mut(set)
+            .expect("set_id just resolved the name");
         if let Some(cached) = &state.cached {
-            let fresh_for_set = cached.snapshot.epoch() == epoch
-                && goals.iter().all(|&g| cached.snapshot.covers(g));
-            if fresh_for_set {
-                let interners_unchanged = cached.universe_len == self.session.universe().len()
-                    && cached.symbols_len == self.session.symbols().num_constants()
-                    && cached.arena_len == self.session.arena().len();
-                if interners_unchanged {
-                    return Ok((cached.snapshot.clone(), zero));
-                }
-                // Grown-only re-freeze: everything the set needs is warm
-                // (hits only, zero firings), the interners just moved under
-                // it.  Uncharged — the growth came from other clients.
-                let snapshot = self
-                    .session
-                    .snapshot_with_goals(id, goals)
-                    .map_err(wire_error)?;
-                self.cache_snapshot(set, &snapshot);
-                return Ok((snapshot, zero));
+            if cached.epoch() == epoch && goals.iter().all(|&g| cached.covers(g)) {
+                return Ok((cached.clone(), zero));
             }
         }
-        // Charged freeze: first build, epoch-stale rebuild, or goal-
-        // vocabulary extension — all determined by the set's own history.
+        // Drop the stale snapshot first: unless a reader still holds it,
+        // the freeze then extends the set's shared engine in place.
+        state.cached = None;
         let before = self.session.counters();
         let snapshot = self
             .session
@@ -464,20 +437,8 @@ impl ServerCore {
             engine_misses: after.engine_misses - before.engine_misses,
             epoch,
         };
-        self.cache_snapshot(set, &snapshot);
+        state.cached = Some(snapshot.clone());
         Ok((snapshot, charged))
-    }
-
-    fn cache_snapshot(&mut self, set: &str, snapshot: &Arc<SetSnapshot>) {
-        let cached = CachedSnapshot {
-            snapshot: snapshot.clone(),
-            universe_len: self.session.universe().len(),
-            symbols_len: self.session.symbols().num_constants(),
-            arena_len: self.session.arena().len(),
-        };
-        if let Some(state) = self.sets.get_mut(set) {
-            state.cached = Some(cached);
-        }
     }
 }
 
@@ -617,6 +578,65 @@ mod tests {
             panic!("wrong payload");
         };
         assert_eq!(c, satisfiable, "Theorem 12 and Theorem 7 agree");
+    }
+
+    fn database(attrs: [&str; 2], rows: &[[&str; 2]]) -> DatabaseSpec {
+        DatabaseSpec {
+            relations: vec![crate::proto::RelationSpec {
+                name: "R".into(),
+                attrs: attrs.iter().map(|a| a.to_string()).collect(),
+                rows: rows
+                    .iter()
+                    .map(|row| row.iter().map(|v| v.to_string()).collect())
+                    .collect(),
+            }],
+        }
+    }
+
+    /// Constants interned for one set never re-freeze another set's cached
+    /// snapshot, and the other set's responses stay those of a replay of
+    /// its own frames alone.
+    #[test]
+    fn interner_growth_from_another_set_keeps_the_cached_snapshot() {
+        let s_frames = [
+            req(Op::Register {
+                set: "S".into(),
+                pds: vec!["A = A*B".into(), "C = A+B".into()],
+            }),
+            req(Op::Consistent {
+                set: "S".into(),
+                database: database(["A", "B"], &[["a1", "b1"], ["a1", "b2"]]),
+            }),
+            req(Op::WeakInstance {
+                set: "S".into(),
+                database: database(["A", "C"], &[["a2", "c1"], ["a3", "c1"]]),
+            }),
+        ];
+        let t_frames = [
+            req(Op::Register {
+                set: "T".into(),
+                pds: vec!["D = D*E".into()],
+            }),
+            req(Op::Consistent {
+                set: "T".into(),
+                database: database(["D", "E"], &[["d1", "e1"], ["d2", "e1"]]),
+            }),
+        ];
+        let mut core = ServerCore::new(1);
+        let mut live = vec![core.handle(&s_frames[0]).to_line()];
+        core.handle(&t_frames[0]);
+        live.push(core.handle(&s_frames[1]).to_line());
+        let cached = core.sets["S"].cached.clone().expect("S was frozen");
+        // T's database interns constants S's snapshot has never seen; S's
+        // next database does too.
+        core.handle(&t_frames[1]);
+        live.push(core.handle(&s_frames[2]).to_line());
+        let after = core.sets["S"].cached.as_ref().expect("S stays frozen");
+        assert!(Arc::ptr_eq(&cached, after), "S was re-frozen");
+
+        let mut alone = ServerCore::new(1);
+        let replay: Vec<String> = s_frames.iter().map(|f| alone.handle(f).to_line()).collect();
+        assert_eq!(live, replay);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!
 //! The pin works because clients use disjoint constraint sets over
 //! disjoint vocabularies (so `Session::register`'s content dedup cannot
-//! alias them) and the serving layer charges each response only the
-//! counter work the client's own history explains — shared-interner
-//! growth caused by neighbours re-freezes uncharged.
+//! alias them) and the serving layer re-freezes a set only for reasons in
+//! that set's own history (first touch, epoch bump, a goal outside the
+//! frozen vocabulary) — shared-interner growth caused by neighbours never
+//! re-freezes anything.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};

@@ -39,8 +39,10 @@ pub enum Error {
     /// rejected instead of answered `false` — re-freeze with
     /// [`crate::Session::snapshot_with_goals`] covering the batch.
     OutsideVocabulary {
-        /// The offending goal, rendered in the concrete syntax.
-        goal: String,
+        /// The offending goal.  The snapshot holds no term arena, so the
+        /// message names its term ids; [`crate::Session::render`] renders
+        /// it in the concrete syntax.
+        goal: ps_lattice::Equation,
     },
 }
 
@@ -61,9 +63,10 @@ impl fmt::Display for Error {
             ),
             Error::OutsideVocabulary { goal } => write!(
                 f,
-                "goal `{goal}` mentions a subterm outside the frozen snapshot's \
+                "goal `{} = {}` mentions a subterm outside the frozen snapshot's \
                  vocabulary V; take the snapshot with `snapshot_with_goals` \
-                 covering the batch"
+                 covering the batch",
+                goal.lhs, goal.rhs
             ),
         }
     }
@@ -138,9 +141,11 @@ mod tests {
         let cad = Error::CadRequiresFpds { pd: "C=A+B".into() };
         assert!(cad.to_string().contains("contains a sum"));
 
-        let outside = Error::OutsideVocabulary {
-            goal: "A=A*Z".into(),
-        };
+        let mut session = crate::Session::new();
+        let goal = session.equation("A = A*Z").unwrap();
+        let outside = Error::OutsideVocabulary { goal };
+        let ids = format!("`{} = {}`", goal.lhs, goal.rhs);
+        assert!(outside.to_string().contains(&ids));
         assert!(outside.to_string().contains("outside the frozen snapshot"));
         assert!(outside.source().is_none());
     }

@@ -152,10 +152,18 @@ mod tests {
     }
 
     /// `R(A) = {a}` under the FD `B → A`, and the database made of its
-    /// snapshot-minted witness `{(a, ⊥0, …)}` plus `S(A) = {a2}`.
-    fn witness_fed_back_as_input() -> (Session, ConstraintSetId, ps_relation::Database) {
+    /// snapshot-minted witness `{(a, ⊥0, …)}` plus `S(A) = {a2}`.  The
+    /// snapshot that minted the witness is returned too; it was frozen
+    /// before any constant was interned.
+    pub(crate) fn witness_fed_back_as_input() -> (
+        Session,
+        ConstraintSetId,
+        ps_relation::Database,
+        std::sync::Arc<SetSnapshot>,
+    ) {
         let mut session = Session::new();
         let set = session.register_texts(&["B = B*A"]).unwrap();
+        let snapshot = session.snapshot(set).unwrap();
         let r = session
             .database()
             .relation("R", &["A"], &[&["a"]])
@@ -166,7 +174,6 @@ mod tests {
             .relation("S", &["A"], &[&["a2"]])
             .unwrap()
             .build();
-        let snapshot = session.snapshot(set).unwrap();
         let pool = ParallelExecutor::new(1);
         let witness = pool
             .weak_instance_many_par(&snapshot, &[r])
@@ -181,14 +188,14 @@ mod tests {
         let mut db = ps_relation::Database::new();
         db.add(witness);
         db.add(s.relations()[0].clone());
-        (session, set, db)
+        (session, set, db, snapshot)
     }
 
     /// The padded `B` cell of `S` must be a new null: if it reused the
     /// witness's `⊥0`, `B → A` would equate `a` with `a2`.
     #[test]
     fn snapshot_padding_avoids_nulls_already_in_the_input() {
-        let (mut session, set, db) = witness_fed_back_as_input();
+        let (mut session, set, db, _) = witness_fed_back_as_input();
         let snapshot = session.snapshot(set).unwrap();
         let outcome = ParallelExecutor::new(1)
             .consistent_many_par(&snapshot, &[db])
@@ -200,7 +207,7 @@ mod tests {
     /// session path, whose table never saw the snapshot's nulls.
     #[test]
     fn session_padding_avoids_nulls_already_in_the_input() {
-        let (mut session, set, db) = witness_fed_back_as_input();
+        let (mut session, set, db, _) = witness_fed_back_as_input();
         let outcome = session
             .consistent(set, &db, ConsistencyMode::Polynomial)
             .unwrap();

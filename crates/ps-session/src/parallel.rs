@@ -10,12 +10,16 @@
 //! * [`SetSnapshot`] — an immutable, `Send + Sync` freeze of one registered
 //!   set at its current [`Epoch`]: the fully saturated
 //!   [`ImplicationEngine`] (optionally pre-extended with a batch's goal
-//!   subterms), the Section 6.2 closed constraint system, and owned copies
-//!   of the three interners.  Snapshots are produced by
+//!   subterms) and the Section 6.2 closed constraint system, both *shared*
+//!   with the live set through `Arc`s, plus a copy of the symbol table for
+//!   its null cursor.  Snapshots are produced by
 //!   [`crate::Session::snapshot`] / [`crate::Session::snapshot_with_goals`]
-//!   and handed out as `Arc<SetSnapshot>`; mutating the live set afterwards
-//!   (copy-on-write: `add_pd` / `remove_pd` re-key the live set and bump its
-//!   epoch) can never disturb a snapshot already taken.
+//!   and handed out as `Arc<SetSnapshot>`.  The live set is copy-on-write:
+//!   it extends its engine through [`Arc::make_mut`] (which copies the
+//!   engine only while a snapshot still holds it) and replaces a stale
+//!   closure instead of patching it, so new goals, `add_pd` and
+//!   `remove_pd` on the live set can never disturb a snapshot already
+//!   taken.
 //! * [`ParallelExecutor`] — a hand-rolled scoped worker pool over
 //!   [`std::thread::scope`] (the vendor tree has no rayon and there is no
 //!   registry access; the std scope API is all that is needed): workers
@@ -35,10 +39,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ps_base::{FreshSymbols, SymbolTable, Universe};
+use ps_base::{FreshSymbols, SymbolTable};
 use ps_core::consistency::ClosedConstraints;
 use ps_core::weak_bridge::SatisfiabilityWitness;
-use ps_lattice::{Equation, ImplicationEngine, TermArena};
+use ps_lattice::{Equation, ImplicationEngine};
 use ps_relation::{ChaseScratch, Database, Relation};
 
 use crate::session::{polynomial_answer, weak_instance_witness, ConsistencyAnswer};
@@ -58,7 +62,7 @@ const _: () = {
 /// An immutable freeze of one registered constraint set, shareable across
 /// threads (`Arc<SetSnapshot>` is the intended currency).
 ///
-/// A snapshot owns everything a query needs — no `&mut` anywhere:
+/// A snapshot holds everything a query needs — no `&mut` anywhere:
 ///
 /// * the saturated [`ImplicationEngine`], queried through its read-only
 ///   [`ImplicationEngine::entails_frozen`] path (a goal term outside the
@@ -67,21 +71,21 @@ const _: () = {
 /// * the closed constraint system of Section 6.2, chased against via the
 ///   frozen pipeline (`consistent_with_closed_frozen`), with padding nulls
 ///   minted from per-worker [`FreshSymbols`] sources;
-/// * copies of the session's `Universe` / `SymbolTable` / `TermArena` at
-///   freeze time, so parsing results and databases built against the
-///   session before the freeze resolve identically.
+/// * a copy of the session's `SymbolTable` at freeze time, read only for
+///   its null cursor and the constant/null tag.  Constants interned after
+///   the freeze are fine: the chase never resolves a symbol's name.
 ///
-/// The snapshot records the set's [`Epoch`] at freeze time; every outcome
-/// computed through it reports that epoch in [`Counters::epoch`].
+/// The engine and the closure are shared with the live set, never copied
+/// by the freeze (see [`crate::Session::snapshot`] for the copy-on-write
+/// rule that keeps them frozen).  The snapshot records the set's [`Epoch`]
+/// at freeze time; every outcome computed through it reports that epoch in
+/// [`Counters::epoch`].
 #[derive(Debug, Clone)]
 pub struct SetSnapshot {
     epoch: Epoch,
-    pds: Vec<Equation>,
-    universe: Universe,
     symbols: SymbolTable,
-    arena: TermArena,
-    engine: ImplicationEngine,
-    closed: ClosedConstraints,
+    engine: Arc<ImplicationEngine>,
+    closed: Arc<ClosedConstraints>,
 }
 
 impl SetSnapshot {
@@ -89,19 +93,13 @@ impl SetSnapshot {
     /// (and pre-extends) the live set's cached artifacts first.
     pub(crate) fn freeze(
         epoch: Epoch,
-        pds: Vec<Equation>,
-        universe: Universe,
         symbols: SymbolTable,
-        arena: TermArena,
-        engine: ImplicationEngine,
-        closed: ClosedConstraints,
+        engine: Arc<ImplicationEngine>,
+        closed: Arc<ClosedConstraints>,
     ) -> Self {
         SetSnapshot {
             epoch,
-            pds,
-            universe,
             symbols,
-            arena,
             engine,
             closed,
         }
@@ -110,26 +108,6 @@ impl SetSnapshot {
     /// The [`Epoch`] the set was frozen at.
     pub fn epoch(&self) -> Epoch {
         self.epoch
-    }
-
-    /// The PDs of the frozen set, deduplicated, in first-seen order.
-    pub fn pds(&self) -> &[Equation] {
-        &self.pds
-    }
-
-    /// The frozen attribute universe.
-    pub fn universe(&self) -> &Universe {
-        &self.universe
-    }
-
-    /// The frozen symbol table.
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
-    }
-
-    /// The frozen term arena.
-    pub fn arena(&self) -> &TermArena {
-        &self.arena
     }
 
     /// Whether both sides of `goal` are inside the frozen vocabulary `V`
@@ -146,15 +124,13 @@ impl SetSnapshot {
     pub fn implies(&self, goal: Equation) -> Result<bool> {
         self.engine
             .entails_frozen(goal)
-            .ok_or_else(|| Error::OutsideVocabulary {
-                goal: goal.display(&self.arena, &self.universe),
-            })
+            .ok_or(Error::OutsideVocabulary { goal })
     }
 
     /// Theorem 12 polynomial consistency of one database against the frozen
     /// closed system.  `fresh` supplies padding/repair nulls and `scratch`
     /// the reusable chase buffers — per-worker state in parallel use; pass
-    /// throwaways (`snapshot.symbols().fresh_source()`,
+    /// throwaways (`session.symbols().fresh_source()`,
     /// `ChaseScratch::default()`) for one-off calls.
     pub fn consistent(
         &self,
@@ -305,12 +281,8 @@ impl ParallelExecutor {
         snapshot: &Arc<SetSnapshot>,
         goals: &[Equation],
     ) -> Result<Outcome<Vec<bool>>> {
-        for &goal in goals {
-            if !snapshot.covers(goal) {
-                return Err(Error::OutsideVocabulary {
-                    goal: goal.display(&snapshot.arena, &snapshot.universe),
-                });
-            }
+        if let Some(&goal) = goals.iter().find(|&&g| !snapshot.covers(g)) {
+            return Err(Error::OutsideVocabulary { goal });
         }
         let (values, mut counters) = self.fan_out(snapshot, goals, |&goal, _state| {
             snapshot
@@ -498,6 +470,100 @@ mod tests {
         assert!(outcome.value[0].weak_instance.is_some());
         assert!(!outcome.value[1].satisfiable);
         assert!(outcome.counters.row_visits > 0);
+    }
+
+    /// Constants interned after a freeze never call for a new one: a
+    /// snapshot frozen before a database's constants existed answers it
+    /// exactly like one frozen after, nulls fed back from a witness
+    /// included.
+    #[test]
+    fn snapshot_frozen_before_the_constants_answers_like_one_frozen_after() {
+        let (mut session, set, fed_back, early) = crate::tests::witness_fed_back_as_input();
+        let mut dbs = vec![fed_back];
+        for rows in [[["a", "b"], ["a", "b2"]], [["a3", "b3"], ["a4", "b3"]]] {
+            let rows: Vec<&[&str]> = rows.iter().map(|r| r.as_slice()).collect();
+            let db = session
+                .database()
+                .relation("R", &["A", "B"], &rows)
+                .unwrap()
+                .build();
+            dbs.push(db);
+        }
+        let late = session.snapshot(set).unwrap();
+        assert_eq!(early.epoch(), late.epoch());
+        let pool = ParallelExecutor::new(2);
+
+        let shape = |outcome: Outcome<Vec<ConsistencyAnswer>>| {
+            let rows: Vec<(bool, Option<usize>)> = outcome
+                .value
+                .iter()
+                .map(|a| (a.consistent, a.witness.as_ref().map(Relation::len)))
+                .collect();
+            (rows, outcome.counters)
+        };
+        let before = shape(pool.consistent_many_par(&early, &dbs).unwrap());
+        let after = shape(pool.consistent_many_par(&late, &dbs).unwrap());
+        let verdicts: Vec<bool> = before.0.iter().map(|&(c, _)| c).collect();
+        assert_eq!(verdicts, [true, true, false]);
+        assert_eq!(before, after);
+
+        let shape = |outcome: Outcome<Vec<SatisfiabilityWitness>>| {
+            let rows: Vec<(bool, Option<usize>)> = outcome
+                .value
+                .iter()
+                .map(|w| (w.satisfiable, w.weak_instance.as_ref().map(Relation::len)))
+                .collect();
+            (rows, outcome.counters)
+        };
+        let before = shape(pool.weak_instance_many_par(&early, &dbs).unwrap());
+        let after = shape(pool.weak_instance_many_par(&late, &dbs).unwrap());
+        assert!(before.1.row_visits > 0);
+        assert_eq!(before, after);
+    }
+
+    /// The live set extends the engine it shares with a held snapshot only
+    /// through a copy: the snapshot keeps its frozen `V`, verdicts and
+    /// coverage after new live goals and `add_pd`.  Once no snapshot holds
+    /// the engine, the live set extends it in place.
+    #[test]
+    fn held_snapshot_keeps_its_vocabulary_while_the_live_engine_grows() {
+        let (mut session, set, goals) = warm_session();
+        let held = session.snapshot_with_goals(set, &goals[..3]).unwrap();
+        let frozen_v = held.engine.terms().len();
+        let verdicts = |snapshot: &SetSnapshot| -> Vec<bool> {
+            goals[..3]
+                .iter()
+                .map(|&g| snapshot.implies(g).unwrap())
+                .collect()
+        };
+        assert_eq!(verdicts(&held), [true, false, true]);
+        assert!(!held.covers(goals[3]));
+
+        // New live goals extend V; the added PD makes `C = C*A` hold.
+        session.implies_many(set, &goals).unwrap();
+        let pd = session.equation("C = C*A").unwrap();
+        session.add_pd(set, pd).unwrap();
+        let live = session.implies_many(set, &goals).unwrap();
+        assert!(live.value[1]);
+
+        assert_eq!(held.engine.terms().len(), frozen_v);
+        assert!(!held.covers(goals[3]));
+        assert_eq!(verdicts(&held), [true, false, true]);
+        assert_eq!(held.epoch(), Epoch::new(0));
+
+        let current = session.snapshot_with_goals(set, &goals).unwrap();
+        assert!(!Arc::ptr_eq(&held.engine, &current.engine));
+        assert!(current.covers(goals[3]));
+        assert_eq!(verdicts(&current), [true, true, true]);
+
+        // With every snapshot of the engine dropped, the next extension
+        // happens in place: no copy.
+        let address = Arc::as_ptr(&current.engine);
+        drop((held, current));
+        let extra = session.equation("E = E*A").unwrap();
+        let extended = session.snapshot_with_goals(set, &[extra]).unwrap();
+        assert!(extended.covers(extra));
+        assert_eq!(Arc::as_ptr(&extended.engine), address);
     }
 
     #[test]

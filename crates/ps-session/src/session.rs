@@ -206,20 +206,21 @@ struct ConstraintSet {
     /// [`Session::keys`] (artifact: the normalized-set cache key, maintained
     /// eagerly on every mutation).
     key: Vec<(u32, u32)>,
-    /// Mutation epoch: bumped once per successful add/remove.
+    /// Mutation epoch: bumped once per successful add/remove.  The key is
+    /// recomputed on every bump, so it is always current at this epoch.
     epoch: Epoch,
-    /// Epoch at which `key` was last recomputed (always equals `epoch`; the
-    /// key is the one eagerly maintained artifact).
-    key_epoch: Epoch,
     /// The cached ALG engine over `pds`, built on first implication-family
     /// query, incrementally extended by each goal's subterms and — after
-    /// `add_pd` — by the new equations' arcs.
-    engine: Option<ImplicationEngine>,
+    /// `add_pd` — by the new equations' arcs.  Shared with every snapshot
+    /// frozen from it; extensions go through [`Arc::make_mut`], which
+    /// copies the engine only while a snapshot still holds it.
+    engine: Option<Arc<ImplicationEngine>>,
     engine_deps: ArtifactDeps,
     /// The cached Section 6.2 closure (normalize once, close once), built on
     /// first consistency-family query; the weak-instance pipeline consults
-    /// this same artifact.
-    closed: Option<ClosedConstraints>,
+    /// this same artifact.  Shared with snapshots; never mutated in place
+    /// (a stale closure is replaced, not patched).
+    closed: Option<Arc<ClosedConstraints>>,
     closed_deps: ArtifactDeps,
     /// The cached CAD FPD view of `pds` (ExactCadEap mode), built on first
     /// exact consistency query of an FPD-only set.
@@ -233,7 +234,6 @@ impl ConstraintSet {
             pds,
             key,
             epoch: Epoch::default(),
-            key_epoch: Epoch::default(),
             engine: None,
             engine_deps: ArtifactDeps::default(),
             closed: None,
@@ -581,7 +581,7 @@ impl Session {
     /// older epoch) is exactly one that the query provably did not read.
     pub fn artifact_epochs(&self, set: ConstraintSetId) -> Result<Vec<(&'static str, Epoch)>> {
         let s = self.set_ref(set)?;
-        let mut epochs = vec![("key", s.key_epoch)];
+        let mut epochs = vec![("key", s.epoch)];
         if s.engine.is_some() {
             epochs.push(("engine", s.engine_deps.epoch));
         }
@@ -607,9 +607,7 @@ impl Session {
             self.keys.remove(&old_key);
         }
         self.keys.entry(new_key).or_insert(idx);
-        let set = &mut self.sets[idx];
-        set.epoch.bump();
-        set.key_epoch = set.epoch;
+        self.sets[idx].epoch.bump();
     }
 
     /// The PDs registered behind a handle, deduplicated, in first-seen
@@ -648,18 +646,23 @@ impl Session {
     /// The freeze warms the set's cached artifacts first — the saturated
     /// [`ImplicationEngine`] and the Section 6.2 closure — counting that
     /// work against the session totals exactly like a query would (one
-    /// hit or miss per artifact, build firings included), then copies them
-    /// out together with the interners.  Copy-on-write discipline: the
-    /// snapshot owns its artifacts, so [`Session::add_pd`] /
-    /// [`Session::remove_pd`] on the live set afterwards (which bump the
-    /// epoch and invalidate live caches) can never disturb a snapshot
+    /// hit or miss per artifact, build firings included).  The snapshot
+    /// then *shares* them through `Arc`s; the only thing it copies is the
+    /// symbol table.  Copy-on-write discipline: the live set extends its
+    /// engine through [`Arc::make_mut`], which copies it first while a
+    /// snapshot still holds it, and replaces (never patches) a stale
+    /// closure, so [`Session::add_pd`] / [`Session::remove_pd`] and new
+    /// goals on the live set afterwards can never disturb a snapshot
     /// already taken, and snapshot outcomes keep reporting the frozen
     /// epoch in [`Counters::epoch`].
     ///
     /// Implication goals must be inside the frozen vocabulary `V`; freeze
     /// with [`Session::snapshot_with_goals`] to pre-extend `V` with a
-    /// planned batch (consistency queries need no pre-extension — any
-    /// database over the session's interners works).
+    /// planned batch.  Consistency queries need no pre-extension and no
+    /// re-freeze when the interners grow: any database over the session's
+    /// interners works, including one built after the freeze — the chase
+    /// reads symbols only through their constant/null tag, and padding
+    /// nulls start above every null already in the database.
     pub fn snapshot(&mut self, set: ConstraintSetId) -> Result<Arc<crate::SetSnapshot>> {
         self.snapshot_with_goals(set, &[])
     }
@@ -683,10 +686,7 @@ impl Session {
         };
         ensure_engine(&self.arena, &mut self.sets[idx], &mut counters);
         let engine = self.sets[idx].engine.as_mut().expect("engine just ensured");
-        let before = engine.rule_firings() as u64;
-        let roots: Vec<TermId> = goals.iter().flat_map(|g| [g.lhs, g.rhs]).collect();
-        engine.add_goal_terms(&self.arena, &roots);
-        counters.rule_firings += engine.rule_firings() as u64 - before;
+        counters.rule_firings += extend_vocabulary(engine, &self.arena, goals);
         ensure_closed(
             &mut self.arena,
             &mut self.universe,
@@ -697,10 +697,7 @@ impl Session {
         let set = &self.sets[idx];
         Ok(Arc::new(crate::SetSnapshot::freeze(
             set.epoch,
-            set.pds.clone(),
-            self.universe.clone(),
             self.symbols.clone(),
-            self.arena.clone(),
             set.engine.clone().expect("engine just ensured"),
             set.closed.clone().expect("closure just ensured"),
         )))
@@ -735,9 +732,11 @@ impl Session {
         };
         ensure_engine(&self.arena, &mut self.sets[idx], &mut counters);
         let engine = self.sets[idx].engine.as_mut().expect("engine just ensured");
-        let before = engine.rule_firings() as u64;
-        let value = engine.entails_many(&self.arena, goals);
-        counters.rule_firings += engine.rule_firings() as u64 - before;
+        counters.rule_firings += extend_vocabulary(engine, &self.arena, goals);
+        let value = goals
+            .iter()
+            .map(|&g| engine.entails(g).expect("goal terms were just added to V"))
+            .collect();
         self.totals += counters;
         Ok(Outcome::new(value, counters))
     }
@@ -1086,6 +1085,7 @@ fn ensure_engine(arena: &TermArena, set: &mut ConstraintSet, counters: &mut Coun
             counters.engine_hits += 1;
         }
         Some(engine) if set.engine_deps.is_subset_of(&set.key) => {
+            let engine = Arc::make_mut(engine);
             let missing: Vec<Equation> = set
                 .pds
                 .iter()
@@ -1099,11 +1099,31 @@ fn ensure_engine(arena: &TermArena, set: &mut ConstraintSet, counters: &mut Coun
             let engine = ImplicationEngine::new(arena, &set.pds);
             counters.rule_firings += engine.rule_firings() as u64;
             counters.engine_misses += 1;
-            set.engine = Some(engine);
+            set.engine = Some(Arc::new(engine));
         }
     }
     let epoch = set.epoch;
     set.engine_deps.certify(&set.key, epoch);
+}
+
+/// Extends a set's shared engine's vocabulary `V` with every subterm of
+/// `goals` and returns the saturation delta in rule firings.  `V` is
+/// subterm-closed, so goals whose sides are already in `V` leave the engine
+/// untouched; otherwise [`Arc::make_mut`] copies it first if a snapshot
+/// still holds it (copy-on-write), so a frozen `V` never grows.
+fn extend_vocabulary(
+    engine: &mut Arc<ImplicationEngine>,
+    arena: &TermArena,
+    goals: &[Equation],
+) -> u64 {
+    let roots: Vec<TermId> = goals.iter().flat_map(|g| [g.lhs, g.rhs]).collect();
+    if roots.iter().all(|&t| engine.contains_term(t)) {
+        return 0;
+    }
+    let engine = Arc::make_mut(engine);
+    let before = engine.rule_firings();
+    engine.add_goal_terms(arena, &roots);
+    (engine.rule_firings() - before) as u64
 }
 
 /// Lazily normalizes and closes a set's constraints (Section 6.2 steps
@@ -1135,7 +1155,7 @@ fn ensure_closed(
         let closed = close_constraints_with(&mut engine, &normalized, arena);
         counters.rule_firings += engine.rule_firings() as u64;
         counters.engine_misses += 1;
-        set.closed = Some(closed);
+        set.closed = Some(Arc::new(closed));
     }
     let epoch = set.epoch;
     set.closed_deps.certify(&set.key, epoch);
