@@ -2,7 +2,8 @@
 //! [`trajectory`]) and the workspace's tests.
 //!
 //! Every generator is deterministic in an explicit seed so benchmark runs are
-//! reproducible.  The experiment ids from `DESIGN.md` the workloads serve:
+//! reproducible.  The experiment ids the workloads serve (the integration
+//! tests cite them in their headers):
 //!
 //! | Experiment | Paper claim being reproduced |
 //! |---|---|
@@ -805,27 +806,17 @@ pub fn random_interpretation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_lattice::{free_order, word_problem, Algorithm};
+    use ps_lattice::{free_order, word_problem, DerivedOrder};
 
     #[test]
     fn chain_goals_are_implied_and_grid_goals_too() {
         for n in [2usize, 5, 17] {
             let w = fpd_chain(n);
-            assert!(word_problem::entails(
-                &w.arena,
-                &w.equations,
-                w.goal,
-                Algorithm::Worklist
-            ));
+            assert!(word_problem::entails_many(&w.arena, &w.equations, &[w.goal])[0]);
         }
         for n in [3usize, 6, 12] {
             let w = mixed_pd_grid(n);
-            assert!(word_problem::entails(
-                &w.arena,
-                &w.equations,
-                w.goal,
-                Algorithm::Worklist
-            ));
+            assert!(word_problem::entails_many(&w.arena, &w.equations, &[w.goal])[0]);
         }
     }
 
@@ -833,10 +824,11 @@ mod tests {
     fn random_pd_sets_are_well_formed() {
         let w = random_pd_set(5, 6, 5, 99);
         assert_eq!(w.equations.len(), 6);
-        // Both strategies agree on the random goal.
+        // The engine and the paper's fixpoint agree on the random goal.
+        let naive = DerivedOrder::build(&w.arena, &w.equations, &[w.goal.lhs, w.goal.rhs]);
         assert_eq!(
-            word_problem::entails(&w.arena, &w.equations, w.goal, Algorithm::Worklist),
-            word_problem::entails(&w.arena, &w.equations, w.goal, Algorithm::NaiveFixpoint)
+            Some(word_problem::entails_many(&w.arena, &w.equations, &[w.goal])[0]),
+            naive.entails(w.goal)
         );
     }
 
@@ -880,11 +872,7 @@ mod tests {
             );
             if n <= 32 {
                 assert!(
-                    ps_core::fd_bridge::fd_implies_via_lattice(
-                        &w.fds,
-                        &w.goal,
-                        Algorithm::Worklist
-                    ),
+                    ps_core::fd_bridge::fd_implies_via_lattice(&w.fds, &w.goal),
                     "n={n}"
                 );
             }

@@ -22,8 +22,8 @@
 //! containing the two single-column tuples `(a_i)` and `(b_i)`: the gadget
 //! adds exactly the missing symbols without constraining anything else, so
 //! the reduction below is correct for every 3CNF formula with pairwise
-//! distinct clause variables (duplicated clauses are removed first).  The
-//! substitution is recorded in `DESIGN.md`.
+//! distinct clause variables (duplicated clauses are removed first).
+//! `tests/figure3_np.rs` pins the resulting shape for the Figure 3 formula.
 
 use std::collections::HashMap;
 

@@ -23,17 +23,16 @@
 //! the tests can exhibit an explicit weak instance satisfying the *whole* of
 //! `E⁺`, not just `F`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ps_base::{AttrSet, Attribute, FreshSymbols, Symbol, SymbolTable, Universe};
-use ps_lattice::{Algorithm, Equation, TermArena, TermNode};
+use ps_lattice::{Algorithm, DerivedOrder, Equation, TermArena, TermNode};
 use ps_partition::UnionFind;
 use ps_relation::{
     chase_fds_over_frozen, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, Relation,
 };
 
-#[cfg(debug_assertions)]
-use crate::implication::atom_order_closure;
+use crate::implication::{atom_order_closure_with, atom_pairs};
 use crate::Result;
 
 /// A residual sum constraint `target ≤ left + right` (the only non-functional
@@ -76,10 +75,6 @@ pub struct NormalizedConstraints {
     /// The definitional attributes introduced for compound subexpressions,
     /// together with the subexpression they name.
     pub definitions: Vec<(Attribute, ps_lattice::TermId)>,
-    /// The original PDs this normalization was computed from — provenance
-    /// for the invalidation hooks ([`ClosedConstraints::depends_on`],
-    /// [`ClosedConstraints::is_current_for`]) of mutable-set callers.
-    pub source_pds: Vec<Equation>,
 }
 
 fn push_fd(fds: &mut Vec<Fd>, lhs: AttrSet, rhs: AttrSet) {
@@ -116,10 +111,7 @@ pub fn normalize_pds(
     arena: &mut TermArena,
     universe: &mut Universe,
 ) -> NormalizedConstraints {
-    let mut out = NormalizedConstraints {
-        source_pds: pds.to_vec(),
-        ..NormalizedConstraints::default()
-    };
+    let mut out = NormalizedConstraints::default();
     let mut attr_of: HashMap<ps_lattice::TermId, Attribute> = HashMap::new();
 
     // Recursively assign an attribute to a term, emitting the definitional
@@ -218,7 +210,7 @@ pub fn normalize_pds(
 /// The fully transformed constraint set `E⁺` of Section 6.2: the FD set `F`
 /// enriched with every derivable `A ≤ B` between attributes, and the
 /// surviving sum constraints.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClosedConstraints {
     /// The FD set `F` used by the chase.
     pub fds: Vec<Fd>,
@@ -226,50 +218,6 @@ pub struct ClosedConstraints {
     pub sums: Vec<SumConstraint>,
     /// The extended attribute universe `U′`.
     pub attributes: AttrSet,
-    /// The original PDs the closure was computed from (copied through from
-    /// [`NormalizedConstraints::source_pds`]) — the provenance behind the
-    /// invalidation hooks below.
-    pub source_pds: Vec<Equation>,
-}
-
-/// Orientation-normalized term-id pair of a PD — the invalidation unit:
-/// `l = r` and `r = l` are the same constraint, so dependency checks
-/// compare unordered pairs of hash-consed term ids.
-fn pd_pair(pd: Equation) -> (u32, u32) {
-    let (a, b) = (pd.lhs.index(), pd.rhs.index());
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-fn pair_set(pds: &[Equation]) -> Vec<(u32, u32)> {
-    let mut pairs: Vec<(u32, u32)> = pds.iter().map(|&pd| pd_pair(pd)).collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-impl ClosedConstraints {
-    /// Invalidation hook: does this closure depend on `pd`?  Removing a PD
-    /// the closure never consumed cannot change it (the closure is a
-    /// function of its source set), so callers caching a
-    /// [`ClosedConstraints`] only need to rebuild when this answers `true`.
-    /// Matching is modulo orientation (`l = r` ≡ `r = l`).
-    pub fn depends_on(&self, pd: Equation) -> bool {
-        let pair = pd_pair(pd);
-        self.source_pds.iter().any(|&p| pd_pair(p) == pair)
-    }
-
-    /// Invalidation hook: is this closure exactly the closure of `pds`?
-    /// Compares the source set modulo order, orientation and duplicates —
-    /// the same equivalence the session layer keys constraint sets by — so
-    /// a cached closure can be revalidated after mutations without being
-    /// recomputed.
-    pub fn is_current_for(&self, pds: &[Equation]) -> bool {
-        pair_set(&self.source_pds) == pair_set(pds)
-    }
 }
 
 /// Computes `E⁺` from a normalized constraint set: adds every derivable
@@ -279,28 +227,37 @@ impl ClosedConstraints {
 ///
 /// One [`ps_lattice::ImplicationEngine`] is built per normalized constraint
 /// set and queried for every consequence; the per-pair lookups below hit a
-/// hash set, not a rebuilt derived order.  The `algorithm` parameter selects
-/// the reference strategy the engine's closure is cross-checked against in
-/// debug builds.
+/// hash set, not a rebuilt derived order.  Debug builds cross-check the
+/// result against [`close_constraints_naive`].
 pub fn close_constraints(
     normalized: &NormalizedConstraints,
     arena: &mut TermArena,
-    algorithm: Algorithm,
 ) -> ClosedConstraints {
     let mut engine = ps_lattice::ImplicationEngine::new(arena, &normalized.equations);
-    #[cfg(debug_assertions)]
-    {
-        let attributes: Vec<Attribute> = normalized.attributes.iter().collect();
-        let cached = crate::implication::atom_order_closure_with(&mut engine, arena, &attributes);
-        debug_assert_eq!(
-            cached,
-            atom_order_closure(arena, &normalized.equations, &attributes, algorithm),
-            "the cached engine and the {algorithm:?} reference must derive the same closure"
-        );
-    }
-    #[cfg(not(debug_assertions))]
-    let _ = algorithm;
-    close_constraints_with(&mut engine, normalized, arena)
+    let closed = close_constraints_with(&mut engine, normalized, arena);
+    debug_assert_eq!(
+        closed,
+        close_constraints_naive(normalized, arena),
+        "the engine and the paper's fixpoint must derive the same E⁺"
+    );
+    closed
+}
+
+/// The reference twin of [`close_constraints`]: the same `E⁺`, with every
+/// `A ≤ B` read off the paper's repeat-until-stable fixpoint
+/// ([`DerivedOrder`]) instead of the engine.
+pub fn close_constraints_naive(
+    normalized: &NormalizedConstraints,
+    arena: &mut TermArena,
+) -> ClosedConstraints {
+    let atoms: Vec<_> = normalized
+        .attributes
+        .iter()
+        .map(|a| arena.atom(a))
+        .collect();
+    let order = DerivedOrder::build(arena, &normalized.equations, &atoms);
+    let consequences = atom_pairs(arena, order.atom_consequences(arena));
+    assemble_closed(normalized, &consequences)
 }
 
 /// The engine-hook variant of [`close_constraints`]: computes `E⁺` out of a
@@ -314,7 +271,17 @@ pub fn close_constraints_with(
     arena: &mut TermArena,
 ) -> ClosedConstraints {
     let attributes: Vec<Attribute> = normalized.attributes.iter().collect();
-    let consequences = crate::implication::atom_order_closure_with(engine, arena, &attributes);
+    let consequences = atom_order_closure_with(engine, arena, &attributes);
+    assemble_closed(normalized, &consequences)
+}
+
+/// Step 3 given the derivable `A ≤ B` pairs, whichever order supplied them:
+/// pushes each as the FD `A → B` and collapses every sum constraint whose
+/// summands are ordered.
+fn assemble_closed(
+    normalized: &NormalizedConstraints,
+    consequences: &HashSet<(Attribute, Attribute)>,
+) -> ClosedConstraints {
     let leq = |a: Attribute, b: Attribute| consequences.contains(&(a, b));
 
     let mut fds = normalized.fds.clone();
@@ -348,7 +315,6 @@ pub fn close_constraints_with(
         fds,
         sums,
         attributes: normalized.attributes.clone(),
-        source_pds: normalized.source_pds.clone(),
     }
 }
 
@@ -375,6 +341,11 @@ pub struct ConsistencyOutcome {
 
 /// Theorem 12: polynomial-time consistency of a database with an arbitrary
 /// set of PDs.  Normalizes, closes and chases in one call.
+///
+/// `algorithm` picks the saturator behind `E⁺`, in debug and release builds
+/// alike: [`Algorithm::Worklist`] closes through [`close_constraints`] (the
+/// engine), [`Algorithm::NaiveFixpoint`] through [`close_constraints_naive`]
+/// (the paper's fixpoint).  The verdict is the same either way.
 ///
 /// ```
 /// use ps_base::{SymbolTable, Universe};
@@ -416,7 +387,10 @@ pub fn consistent_with_pds(
     algorithm: Algorithm,
 ) -> Result<ConsistencyOutcome> {
     let normalized = normalize_pds(pds, arena, universe);
-    let closed = close_constraints(&normalized, arena, algorithm);
+    let closed = match algorithm {
+        Algorithm::NaiveFixpoint => close_constraints_naive(&normalized, arena),
+        Algorithm::Worklist => close_constraints(&normalized, arena),
+    };
     let mut fresh = symbols.fresh_source();
     let outcome = consistent_with_closed_frozen(
         db,
@@ -695,7 +669,7 @@ mod tests {
         ];
         let normalized = normalize_pds(&pds, &mut f.arena, &mut f.universe);
         assert_eq!(normalized.sums.len(), 1);
-        let closed = close_constraints(&normalized, &mut f.arena, Algorithm::Worklist);
+        let closed = close_constraints(&normalized, &mut f.arena);
         assert!(closed.sums.is_empty(), "A ≤ B collapses the sum constraint");
         // And C → B is now derivable from F alone.
         let b = f.universe.lookup("B").unwrap();
@@ -704,29 +678,6 @@ mod tests {
             &closed.fds,
             &ps_relation::fd(&[c], &[b])
         ));
-    }
-
-    #[test]
-    fn closure_invalidation_hooks_track_source_pds() {
-        let mut f = fixture();
-        let a_fd = parse_equation("A = A*B", &mut f.universe, &mut f.arena).unwrap();
-        let sum = parse_equation("C = A+B", &mut f.universe, &mut f.arena).unwrap();
-        let unrelated = parse_equation("D = D*E", &mut f.universe, &mut f.arena).unwrap();
-        let normalized = normalize_pds(&[a_fd, sum], &mut f.arena, &mut f.universe);
-        assert_eq!(normalized.source_pds, vec![a_fd, sum]);
-        let closed = close_constraints(&normalized, &mut f.arena, Algorithm::Worklist);
-
-        // Dependency is modulo orientation; PDs never consumed don't count.
-        let flipped = Equation::new(a_fd.rhs, a_fd.lhs);
-        assert!(closed.depends_on(a_fd));
-        assert!(closed.depends_on(flipped));
-        assert!(!closed.depends_on(unrelated));
-
-        // Currency is modulo order, orientation and duplicates.
-        assert!(closed.is_current_for(&[a_fd, sum]));
-        assert!(closed.is_current_for(&[sum, flipped, a_fd]));
-        assert!(!closed.is_current_for(&[a_fd]));
-        assert!(!closed.is_current_for(&[a_fd, sum, unrelated]));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the embedding is exercised by [`fd_implies_via_lattice`] and benchmarked
 //! as experiment E2.
 
-use ps_lattice::{word_problem, Algorithm, ImplicationEngine, TermArena};
+use ps_lattice::{ImplicationEngine, TermArena};
 use ps_relation::Fd;
 
 use crate::dependency::{equations_of_fpds, fpds_of_fds, Fpd};
@@ -21,13 +21,10 @@ use crate::dependency::{equations_of_fpds, fpds_of_fds, Fpd};
 ///
 /// Semantically equivalent to [`ps_relation::fd_closure::implies`]; the
 /// equivalence is asserted by property tests and measured by experiment E2.
-/// Rebuilds the derived order per goal — for a batch of goals over one FD
-/// set, use [`fd_implies_many_via_lattice`].
-pub fn fd_implies_via_lattice(fds: &[Fd], goal: &Fd, algorithm: Algorithm) -> bool {
-    let mut arena = TermArena::new();
-    let equations = equations_of_fpds(&fpds_of_fds(fds), &mut arena);
-    let goal_equation = Fpd::from_fd(goal).as_meet_equation(&mut arena);
-    word_problem::entails(&arena, &equations, goal_equation, algorithm)
+/// Builds an engine per goal — for a batch of goals over one FD set, use
+/// [`fd_implies_many_via_lattice`].
+pub fn fd_implies_via_lattice(fds: &[Fd], goal: &Fd) -> bool {
+    fd_implies_many_via_lattice(fds, std::slice::from_ref(goal))[0]
 }
 
 /// Batched FD implication through the lattice route: the FD set is
@@ -93,6 +90,17 @@ mod tests {
         u.attrs(names.iter().map(String::as_str))
     }
 
+    /// The lattice route decided by the paper's fixpoint instead of the
+    /// engine.
+    fn naive_lattice_route(fds: &[Fd], goal: &Fd) -> bool {
+        let mut arena = TermArena::new();
+        let equations = equations_of_fpds(&fpds_of_fds(fds), &mut arena);
+        let goal = Fpd::from_fd(goal).as_meet_equation(&mut arena);
+        ps_lattice::DerivedOrder::build(&arena, &equations, &[goal.lhs, goal.rhs])
+            .entails(goal)
+            .unwrap()
+    }
+
     #[test]
     fn lattice_route_agrees_with_closure_on_chains() {
         let a = attrs(4);
@@ -106,13 +114,8 @@ mod tests {
         ];
         for goal in &cases {
             let by_closure = fd_closure::implies(&fds, goal);
-            for algo in [Algorithm::NaiveFixpoint, Algorithm::Worklist] {
-                assert_eq!(
-                    by_closure,
-                    fd_implies_via_lattice(&fds, goal, algo),
-                    "{goal}"
-                );
-            }
+            assert_eq!(by_closure, fd_implies_via_lattice(&fds, goal), "{goal}");
+            assert_eq!(by_closure, naive_lattice_route(&fds, goal), "{goal}");
             assert_eq!(by_closure, fd_implies_via_semigroup(&fds, goal), "{goal}");
         }
         // The batched engine route answers the whole case list at once.
@@ -130,12 +133,12 @@ mod tests {
         let fds = vec![fd(&[a[0]], &[a[1]]), fd(&[a[1], a[2]], &[a[3]])];
         // Pseudo-transitivity: A→B, BC→D implies AC→D.
         let goal = fd(&[a[0], a[2]], &[a[3]]);
-        assert!(fd_implies_via_lattice(&fds, &goal, Algorithm::Worklist));
+        assert!(fd_implies_via_lattice(&fds, &goal));
         assert!(fd_implies_via_semigroup(&fds, &goal));
         assert!(fd_closure::implies(&fds, &goal));
         // But AC→E does not follow.
         let bad = fd(&[a[0], a[2]], &[a[4]]);
-        assert!(!fd_implies_via_lattice(&fds, &bad, Algorithm::Worklist));
+        assert!(!fd_implies_via_lattice(&fds, &bad));
         assert!(!fd_implies_via_semigroup(&fds, &bad));
     }
 
@@ -143,7 +146,7 @@ mod tests {
     fn reflexivity_is_reproduced() {
         let a = attrs(2);
         let goal = fd(&[a[0], a[1]], &[a[0]]);
-        assert!(fd_implies_via_lattice(&[], &goal, Algorithm::Worklist));
+        assert!(fd_implies_via_lattice(&[], &goal));
         assert!(fd_implies_via_semigroup(&[], &goal));
     }
 

@@ -13,26 +13,25 @@
 //!   over one constraint set;
 //! * [`is_identity`] — Theorem 10's special case `E = ∅`, decided by the
 //!   free-lattice order;
-//! * [`atom_order_closure`] / [`atom_order_closure_with`] — all consequences
-//!   of the form `A ≤ B` between attributes as a hash set, the building
+//! * [`atom_order_closure_with`] — all consequences of the form `A ≤ B`
+//!   between attributes as a hash set, read out of an engine: the building
 //!   block of the Section 6.2 consistency pipeline.
 
 use std::collections::HashSet;
 
 use ps_base::Attribute;
 use ps_lattice::{
-    free_order, word_problem, Algorithm, Equation, ImplicationEngine, TermArena, TermId, TermNode,
+    free_order, word_problem, Equation, ImplicationEngine, TermArena, TermId, TermNode,
 };
 
 use crate::dependency::Fpd;
 
 /// Does the set of PDs `e` imply the PD `goal`?  (Theorems 8 and 9.)
 ///
-/// Rebuilds the derived order from scratch; when testing many goals against
-/// the same `e`, build one [`ImplicationEngine`] and use [`pd_implies_with`]
-/// instead.
-pub fn pd_implies(arena: &TermArena, e: &[Equation], goal: Equation, algorithm: Algorithm) -> bool {
-    word_problem::entails(arena, e, goal, algorithm)
+/// Builds an engine from scratch; when testing many goals against the same
+/// `e`, build one [`ImplicationEngine`] and use [`pd_implies_with`] instead.
+pub fn pd_implies(arena: &TermArena, e: &[Equation], goal: Equation) -> bool {
+    word_problem::entails_many(arena, e, &[goal])[0]
 }
 
 /// Does the engine's constraint set imply the PD `goal`?  The cached variant
@@ -43,14 +42,9 @@ pub fn pd_implies_with(engine: &mut ImplicationEngine, arena: &TermArena, goal: 
 }
 
 /// Does the set of PDs `e` imply the FPD `goal`?
-pub fn pd_implies_fpd(
-    arena: &mut TermArena,
-    e: &[Equation],
-    goal: &Fpd,
-    algorithm: Algorithm,
-) -> bool {
+pub fn pd_implies_fpd(arena: &mut TermArena, e: &[Equation], goal: &Fpd) -> bool {
     let goal_equation = goal.as_meet_equation(arena);
-    word_problem::entails(arena, e, goal_equation, algorithm)
+    pd_implies(arena, e, goal_equation)
 }
 
 /// Does the engine's constraint set imply the FPD `goal`?  The cached
@@ -71,32 +65,12 @@ pub fn is_identity(arena: &TermArena, pd: Equation) -> bool {
     free_order::is_identity(arena, pd)
 }
 
-/// All pairs of attributes `(A, B)` with `A ≤ B` derivable from `e`
-/// (including any attribute of `extra_attributes` even if it does not occur
-/// in `e`).  This is the closure `E⁺` restricted to atoms used by the
-/// consistency test of Section 6.2, returned as a hash set so callers can
-/// test membership in O(1) instead of scanning.
-pub fn atom_order_closure(
-    arena: &mut TermArena,
-    e: &[Equation],
-    extra_attributes: &[Attribute],
-    algorithm: Algorithm,
-) -> HashSet<(Attribute, Attribute)> {
-    let extra_terms: Vec<_> = extra_attributes.iter().map(|&a| arena.atom(a)).collect();
-    let consequences = match algorithm {
-        Algorithm::NaiveFixpoint => {
-            word_problem::DerivedOrder::build(arena, e, &extra_terms).atom_consequences(arena)
-        }
-        Algorithm::Worklist => {
-            ImplicationEngine::with_goal_terms(arena, e, &extra_terms).atom_consequences(arena)
-        }
-    };
-    atom_pairs(arena, consequences)
-}
-
-/// The cached variant of [`atom_order_closure`]: reads the atom consequences
-/// out of an existing [`ImplicationEngine`], extending its `V` with
-/// `extra_attributes` first.
+/// All pairs of attributes `(A, B)` with `A ≤ B` derivable from the
+/// engine's constraint set (including any attribute of `extra_attributes`
+/// even if it does not occur there; `V` is extended with them first).  This
+/// is the closure `E⁺` restricted to atoms used by the consistency test of
+/// Section 6.2, returned as a hash set so callers can test membership in
+/// O(1) instead of scanning.
 pub fn atom_order_closure_with(
     engine: &mut ImplicationEngine,
     arena: &mut TermArena,
@@ -107,7 +81,8 @@ pub fn atom_order_closure_with(
     atom_pairs(arena, engine.atom_consequences(arena))
 }
 
-fn atom_pairs(
+/// The attribute pairs behind a list of atom consequences `(p, q)`.
+pub(crate) fn atom_pairs(
     arena: &TermArena,
     consequences: Vec<(TermId, TermId)>,
 ) -> HashSet<(Attribute, Attribute)> {
@@ -131,7 +106,7 @@ fn atom_pairs(
 mod tests {
     use super::*;
     use ps_base::{AttrSet, Universe};
-    use ps_lattice::parse_equation;
+    use ps_lattice::{parse_equation, DerivedOrder};
 
     #[test]
     fn implication_of_fpds_matches_fd_intuition() {
@@ -144,14 +119,9 @@ mod tests {
         let a = universe.lookup("A").unwrap();
         let c = universe.lookup("C").unwrap();
         let goal = Fpd::new(AttrSet::singleton(a), AttrSet::singleton(c));
-        assert!(pd_implies_fpd(&mut arena, &e, &goal, Algorithm::Worklist));
+        assert!(pd_implies_fpd(&mut arena, &e, &goal));
         let converse = Fpd::new(AttrSet::singleton(c), AttrSet::singleton(a));
-        assert!(!pd_implies_fpd(
-            &mut arena,
-            &e,
-            &converse,
-            Algorithm::Worklist
-        ));
+        assert!(!pd_implies_fpd(&mut arena, &e, &converse));
     }
 
     #[test]
@@ -160,8 +130,9 @@ mod tests {
         let mut arena = TermArena::new();
         let e = vec![parse_equation("C = A + B", &mut universe, &mut arena).unwrap()];
         let goal = parse_equation("A + C = C", &mut universe, &mut arena).unwrap();
-        assert!(pd_implies(&arena, &e, goal, Algorithm::Worklist));
-        assert!(pd_implies(&arena, &e, goal, Algorithm::NaiveFixpoint));
+        assert!(pd_implies(&arena, &e, goal));
+        let naive = DerivedOrder::build(&arena, &e, &[goal.lhs, goal.rhs]);
+        assert_eq!(naive.entails(goal), Some(true));
     }
 
     #[test]
@@ -174,13 +145,8 @@ mod tests {
         assert!(is_identity(&arena, absorption));
         assert!(!is_identity(&arena, distributivity));
         // Identity recognition agrees with ALG on the empty constraint set.
-        assert!(pd_implies(&arena, &[], absorption, Algorithm::Worklist));
-        assert!(!pd_implies(
-            &arena,
-            &[],
-            distributivity,
-            Algorithm::Worklist
-        ));
+        assert!(pd_implies(&arena, &[], absorption));
+        assert!(!pd_implies(&arena, &[], distributivity));
     }
 
     #[test]
@@ -198,20 +164,21 @@ mod tests {
         ];
         let mut engine = ImplicationEngine::new(&arena, &e);
         for &goal in &goals {
-            assert_eq!(
-                pd_implies_with(&mut engine, &arena, goal),
-                pd_implies(&arena, &e, goal, Algorithm::NaiveFixpoint),
-            );
+            let cached = pd_implies_with(&mut engine, &arena, goal);
+            assert_eq!(cached, pd_implies(&arena, &e, goal));
+            let naive = DerivedOrder::build(&arena, &e, &[goal.lhs, goal.rhs]);
+            assert_eq!(Some(cached), naive.entails(goal));
         }
         let a = universe.lookup("A").unwrap();
         let c = universe.lookup("C").unwrap();
         let fpd = Fpd::new(AttrSet::singleton(a), AttrSet::singleton(c));
         assert_eq!(
             pd_implies_fpd_with(&mut engine, &mut arena, &fpd),
-            pd_implies_fpd(&mut arena, &e, &fpd, Algorithm::Worklist),
+            pd_implies_fpd(&mut arena, &e, &fpd),
         );
         let closure_cached = atom_order_closure_with(&mut engine, &mut arena, &[a, c]);
-        let closure_rebuilt = atom_order_closure(&mut arena, &e, &[a, c], Algorithm::Worklist);
+        let mut fresh = ImplicationEngine::new(&arena, &e);
+        let closure_rebuilt = atom_order_closure_with(&mut fresh, &mut arena, &[a, c]);
         assert_eq!(closure_cached, closure_rebuilt);
     }
 
@@ -227,7 +194,8 @@ mod tests {
         let b = universe.lookup("B").unwrap();
         let c = universe.lookup("C").unwrap();
         let d = universe.attr("D");
-        let closure = atom_order_closure(&mut arena, &e, &[a, b, c, d], Algorithm::Worklist);
+        let mut engine = ImplicationEngine::new(&arena, &e);
+        let closure = atom_order_closure_with(&mut engine, &mut arena, &[a, b, c, d]);
         assert!(closure.contains(&(a, b)));
         assert!(closure.contains(&(a, c)));
         assert!(closure.contains(&(b, c)));

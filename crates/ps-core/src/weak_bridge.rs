@@ -15,11 +15,14 @@
 //! interpretation `I(w)`.
 
 use ps_base::{FreshSymbols, SymbolTable, Universe};
-use ps_lattice::{Algorithm, Equation, TermArena};
+use ps_lattice::{Equation, TermArena};
 use ps_relation::{Database, Relation};
 
 use crate::canonical::{canonical_interpretation, canonical_relation};
-use crate::consistency::{consistent_with_pds, repair_sum_violations_frozen, ConsistencyOutcome};
+use crate::consistency::{
+    close_constraints, consistent_with_closed_frozen, normalize_pds, repair_sum_violations_frozen,
+    ConsistencyOutcome,
+};
 use crate::dependency::{fds_of_fpds, Fpd};
 use crate::{PartitionInterpretation, Result};
 
@@ -95,8 +98,15 @@ pub fn satisfiable_with_pds(
     universe: &mut Universe,
     symbols: &mut SymbolTable,
 ) -> Result<SatisfiabilityWitness> {
-    let outcome = consistent_with_pds(db, pds, arena, universe, symbols, Algorithm::Worklist)?;
+    let closed = close_constraints(&normalize_pds(pds, arena, universe), arena);
     let mut fresh = symbols.fresh_source();
+    let outcome = consistent_with_closed_frozen(
+        db,
+        &closed,
+        symbols,
+        &mut fresh,
+        &mut ps_relation::ChaseScratch::default(),
+    );
     let witness = witness_from_consistency_frozen(outcome, &mut fresh);
     symbols.advance_past(&fresh);
     witness

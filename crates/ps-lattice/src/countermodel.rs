@@ -23,8 +23,7 @@ use std::collections::{HashMap, HashSet};
 
 use ps_base::Attribute;
 
-use crate::word_problem::{Algorithm, SaturatedOrder};
-use crate::{Equation, FiniteLattice, TermArena, TermId, TermNode};
+use crate::{Equation, FiniteLattice, ImplicationEngine, TermArena, TermId, TermNode};
 
 /// A finite lattice with constants witnessing `E ⊭ goal`.
 #[derive(Debug, Clone)]
@@ -72,7 +71,6 @@ pub fn finite_countermodel(
     equations: &[Equation],
     goal: Equation,
     max_generators: usize,
-    algorithm: Algorithm,
 ) -> Option<Countermodel> {
     // ------------------------------------------------------------------
     // 1. H = subexpressions of E and the goal.
@@ -154,9 +152,13 @@ pub fn finite_countermodel(
     // ------------------------------------------------------------------
     // Every queried term is a candidate, and all candidates are passed as
     // extra terms, so a term outside V would be a construction bug, which
-    // `SaturatedOrder::leq` surfaces instead of conflating it with `false`.
-    let order = SaturatedOrder::build(arena, equations, &candidates, algorithm);
-    let leq = |p: TermId, q: TermId| order.leq(p, q);
+    // the `expect` surfaces instead of conflating it with `false`.
+    let order = ImplicationEngine::with_goal_terms(arena, equations, &candidates);
+    let leq = |p: TermId, q: TermId| {
+        order
+            .leq(p, q)
+            .expect("candidates are in V by construction")
+    };
 
     // Quotient by mutual ≤_E.
     let mut representatives: Vec<TermId> = Vec::new();
@@ -219,6 +221,10 @@ mod tests {
     use crate::word_problem;
     use ps_base::Universe;
 
+    fn entailed(arena: &TermArena, equations: &[Equation], goal: Equation) -> bool {
+        word_problem::entails_many(arena, equations, &[goal])[0]
+    }
+
     fn build(texts: &[&str], goal: &str) -> (Universe, TermArena, Vec<Equation>, Equation) {
         let mut universe = Universe::new();
         let mut arena = TermArena::new();
@@ -233,21 +239,9 @@ mod tests {
     #[test]
     fn distributivity_gets_a_countermodel() {
         let (universe, mut arena, equations, goal) = build(&[], "A*(B+C) = (A*B)+(A*C)");
-        assert!(!word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        let model = finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist,
-        )
-        .expect("the free modular-ish quotient separates the two sides");
+        assert!(!entailed(&arena, &equations, goal));
+        let model = finite_countermodel(&mut arena, &universe, &equations, goal, 12)
+            .expect("the free modular-ish quotient separates the two sides");
         assert!(!model.satisfies(&arena, &universe, goal).unwrap());
         assert!(!model.lattice.is_distributive() || model.lattice.len() <= 2);
     }
@@ -255,21 +249,9 @@ mod tests {
     #[test]
     fn simple_fd_non_implications_get_countermodels() {
         let (universe, mut arena, equations, goal) = build(&["A = A*B"], "B = B*A");
-        assert!(!word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        let model = finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist,
-        )
-        .expect("A ≤ B without B ≤ A is realizable in a two-element chain");
+        assert!(!entailed(&arena, &equations, goal));
+        let model = finite_countermodel(&mut arena, &universe, &equations, goal, 12)
+            .expect("A ≤ B without B ≤ A is realizable in a two-element chain");
         // The model satisfies the premise and violates the goal, and the
         // constants for A and B denote different elements.
         for &eq in &equations {
@@ -284,21 +266,8 @@ mod tests {
     #[test]
     fn entailed_goals_have_no_countermodel() {
         let (universe, mut arena, equations, goal) = build(&["A = A*B", "B = B*C"], "A = A*C");
-        assert!(word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        assert!(finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist
-        )
-        .is_none());
+        assert!(entailed(&arena, &equations, goal));
+        assert!(finite_countermodel(&mut arena, &universe, &equations, goal, 12).is_none());
     }
 
     #[test]
@@ -322,7 +291,7 @@ mod tests {
         let join = arena.join(atoms[0], atoms[1]);
         let goal = Equation::new(meet_chain, join);
         // 64 distinct subexpressions ⇒ the mask would need a 1 << 64 shift.
-        let result = finite_countermodel(&mut arena, &universe, &[], goal, 64, Algorithm::Worklist);
+        let result = finite_countermodel(&mut arena, &universe, &[], goal, 64);
         // No panic, no wrap: the oversized instance is rejected cleanly.
         assert!(result.is_none());
     }
@@ -331,35 +300,15 @@ mod tests {
     fn oversized_instances_are_rejected() {
         let (universe, mut arena, equations, goal) =
             build(&["A*(B+(C*(D+E))) = A", "B = (A+C)*(D+E)"], "A = B");
-        assert!(finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            4,
-            Algorithm::Worklist
-        )
-        .is_none());
+        assert!(finite_countermodel(&mut arena, &universe, &equations, goal, 4).is_none());
     }
 
     #[test]
     fn sum_goal_countermodel_respects_constants() {
         // C = A + B does not follow from A ≤ C and B ≤ C alone.
         let (universe, mut arena, equations, goal) = build(&["A = A*C", "B = B*C"], "C = A+B");
-        assert!(!word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        if let Some(model) = finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist,
-        ) {
+        assert!(!entailed(&arena, &equations, goal));
+        if let Some(model) = finite_countermodel(&mut arena, &universe, &equations, goal, 12) {
             for &eq in &equations {
                 assert!(model.satisfies(&arena, &universe, eq).unwrap());
             }

@@ -25,8 +25,9 @@
 //!   word-parallel bitset row operations.  Algorithm `ALG` of Section 5.2 is
 //!   also implemented as the paper's literal `O(n⁴)` repeat-until-stable
 //!   fixpoint ([`DerivedOrder`]), the reference property tests pin the
-//!   engine against; [`Algorithm`] picks between the two in the one-shot
-//!   conveniences.
+//!   engine against.  Every one-shot convenience runs the engine except
+//!   [`word_problem::entails`], whose [`Algorithm`] argument can name the
+//!   fixpoint instead.
 //! * [`FiniteLattice`] — explicitly tabulated finite lattices with axiom
 //!   checking, distributivity/modularity tests, generated sublattices,
 //!   isomorphism testing and term evaluation; used to reproduce Figures 1

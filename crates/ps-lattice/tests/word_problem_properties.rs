@@ -12,7 +12,7 @@
 //!    "only lattices that satisfy E matter" direction);
 //! 4. the cached [`ImplicationEngine`] — fresh builds, incremental
 //!    extension, and batched queries alike — is pinned to the
-//!    `NaiveFixpoint` reference strategy on random equation sets;
+//!    [`DerivedOrder`] reference on random equation sets;
 //! 5. the term/equation printers round-trip through the parser onto the
 //!    same hash-consed [`TermId`]s;
 //! 6. on collapsing sets (random full and partial FPD cycles, where whole
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use ps_base::{Attribute, Universe};
 use ps_lattice::{
-    free_order, parse_equation, parse_term, word_problem, Algorithm, Equation, FiniteLattice,
+    free_order, parse_equation, parse_term, word_problem, DerivedOrder, Equation, FiniteLattice,
     ImplicationEngine, TermArena, TermId,
 };
 
@@ -66,6 +66,13 @@ fn arb_shape_over(atoms: u8) -> impl Strategy<Value = Shape> {
     })
 }
 
+/// `E ⊨ goal` by the paper's fixpoint, the reference the engine is pinned to.
+fn naive_entails(arena: &TermArena, equations: &[Equation], goal: Equation) -> bool {
+    DerivedOrder::build(arena, equations, &[goal.lhs, goal.rhs])
+        .entails(goal)
+        .expect("the goal's sides are in V")
+}
+
 fn build(shape: &Shape, attrs: &[Attribute], arena: &mut TermArena) -> TermId {
     match shape {
         Shape::Atom(i) => arena.atom(attrs[*i as usize % attrs.len()]),
@@ -97,8 +104,8 @@ proptest! {
             .map(|(l, r)| Equation::new(build(l, &attrs, &mut arena), build(r, &attrs, &mut arena)))
             .collect();
         let goal = Equation::new(build(&goal.0, &attrs, &mut arena), build(&goal.1, &attrs, &mut arena));
-        let naive = word_problem::entails(&arena, &equations, goal, Algorithm::NaiveFixpoint);
-        let fast = word_problem::entails(&arena, &equations, goal, Algorithm::Worklist);
+        let naive = naive_entails(&arena, &equations, goal);
+        let fast = word_problem::entails_many(&arena, &equations, &[goal])[0];
         prop_assert_eq!(naive, fast);
     }
 
@@ -108,12 +115,9 @@ proptest! {
         let mut arena = TermArena::new();
         let l = build(&lhs, &attrs, &mut arena);
         let r = build(&rhs, &attrs, &mut arena);
-        for algo in [Algorithm::NaiveFixpoint, Algorithm::Worklist] {
-            prop_assert_eq!(
-                word_problem::entails_leq(&arena, &[], l, r, algo),
-                free_order::leq_id(&arena, l, r)
-            );
-        }
+        let expected = free_order::leq_id(&arena, l, r);
+        prop_assert_eq!(DerivedOrder::build(&arena, &[], &[l, r]).leq(l, r), Some(expected));
+        prop_assert_eq!(word_problem::entails_leq(&arena, &[], l, r), expected);
     }
 
     #[test]
@@ -157,8 +161,12 @@ proptest! {
         let gi = goal_pair.0 % terms.len();
         let gj = goal_pair.1 % terms.len();
         let goal = Equation::new(terms[gi], terms[gj]);
-        for algo in [Algorithm::NaiveFixpoint, Algorithm::Worklist] {
-            if word_problem::entails(&arena, &equations, goal, algo) {
+        let derived = [
+            naive_entails(&arena, &equations, goal),
+            word_problem::entails_many(&arena, &equations, &[goal])[0],
+        ];
+        for derived in derived {
+            if derived {
                 prop_assert!(
                     lattice.satisfies(&arena, goal, &assignment, &u).unwrap(),
                     "ALG derived an equation that fails in a model satisfying E"
@@ -184,13 +192,13 @@ proptest! {
             .collect();
         let mut engine = ImplicationEngine::new(&arena, &equations);
         for &goal in &goals {
-            let reference = word_problem::entails(&arena, &equations, goal, Algorithm::NaiveFixpoint);
+            let reference = naive_entails(&arena, &equations, goal);
             prop_assert_eq!(engine.entails_goal(&arena, goal), reference);
         }
         // The engine's arc count over the final V matches a reference order
         // built over the same V, and its firing counter saw every arc once.
         let goal_terms: Vec<TermId> = goals.iter().flat_map(|g| [g.lhs, g.rhs]).collect();
-        let order = word_problem::DerivedOrder::build(&arena, &equations, &goal_terms);
+        let order = DerivedOrder::build(&arena, &equations, &goal_terms);
         prop_assert_eq!(engine.num_arcs(), order.num_arcs());
         prop_assert_eq!(engine.rule_firings(), engine.num_arcs());
     }
@@ -212,7 +220,7 @@ proptest! {
             .collect();
         let reference: Vec<bool> = goals
             .iter()
-            .map(|&g| word_problem::entails(&arena, &equations, g, Algorithm::NaiveFixpoint))
+            .map(|&g| naive_entails(&arena, &equations, g))
             .collect();
         // Batched: one engine, one V extension covering every goal.
         let mut batched = ImplicationEngine::new(&arena, &equations);
@@ -230,8 +238,7 @@ proptest! {
         // Both routes land in the same closure.
         prop_assert_eq!(incremental.num_arcs(), batched.num_arcs());
         // And the reference batched entry point agrees as well.
-        let module_batched =
-            word_problem::entails_many(&arena, &equations, &goals, Algorithm::Worklist);
+        let module_batched = word_problem::entails_many(&arena, &equations, &goals);
         prop_assert_eq!(module_batched, reference);
     }
 
@@ -311,7 +318,7 @@ proptest! {
                 prop_assert!(verdict, "a full FPD cycle entails every goal over its atoms");
             }
             goal_terms.extend([goal.lhs, goal.rhs]);
-            let order = word_problem::DerivedOrder::build(&arena, &equations, &goal_terms);
+            let order = DerivedOrder::build(&arena, &equations, &goal_terms);
             for &g in &goals[..=i] {
                 prop_assert_eq!(engine.entails(g), order.entails(g));
             }

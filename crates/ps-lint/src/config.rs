@@ -26,6 +26,8 @@ pub const NAIVE_PAIRS: &[(&str, &str)] = &[
     // ps-lattice: ImplicationEngine's semi-naive ALG saturation vs. the
     // paper's repeat-until-stable fixpoint.
     ("saturate", "saturate_naive"),
+    // ps-core: E⁺ read off the engine vs. off the paper's fixpoint.
+    ("close_constraints", "close_constraints_naive"),
     // ps-lattice: word-parallel BitMatrix delta kernels vs. per-bit loops.
     ("or_row_into_delta", "or_row_into_delta_per_bit"),
     ("or_and_rows_into_delta", "or_and_rows_into_delta_per_bit"),

@@ -166,7 +166,9 @@ struct WorkerState {
 /// threads.
 ///
 /// The pool is hand-rolled on [`std::thread::scope`]: no external
-/// dependency, no `unsafe`, no long-lived threads.  Work distribution is
+/// dependency, no `unsafe`, no long-lived threads.  The calling thread is
+/// one of the workers, so a batch spawns at most `threads − 1` helpers and
+/// a one-item batch runs entirely on the caller.  Work distribution is
 /// chunked work-stealing over a shared [`AtomicUsize`] cursor — each worker
 /// repeatedly claims the next chunk of indices with a relaxed `fetch_add`
 /// until the range is drained, so a skewed batch (a few expensive items)
@@ -218,36 +220,36 @@ impl ParallelExecutor {
         }
         let threads = self.threads.min(items.len());
         let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut state = WorkerState {
+                fresh: snapshot.symbols.fresh_source(),
+                scratch: ChaseScratch::default(),
+                counters: base,
+            };
+            let mut out = Vec::new();
+            loop {
+                let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
+                if start >= items.len() {
+                    break;
+                }
+                let end = (start + CHUNK).min(items.len());
+                for (idx, item) in items.iter().enumerate().take(end).skip(start) {
+                    out.push((idx, work(item, &mut state)));
+                }
+            }
+            (out, state.counters)
+        };
+        // The calling thread is worker 0; only the other workers are
+        // spawned, so a one-item (or one-thread) batch spawns nothing.
         let per_worker: Vec<(Vec<(usize, R)>, Counters)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let work = &work;
-                    scope.spawn(move || {
-                        let mut state = WorkerState {
-                            fresh: snapshot.symbols.fresh_source(),
-                            scratch: ChaseScratch::default(),
-                            counters: base,
-                        };
-                        let mut out = Vec::new();
-                        loop {
-                            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                            if start >= items.len() {
-                                break;
-                            }
-                            let end = (start + CHUNK).min(items.len());
-                            for (idx, item) in items.iter().enumerate().take(end).skip(start) {
-                                out.push((idx, work(item, &mut state)));
-                            }
-                        }
-                        (out, state.counters)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parallel worker panicked"))
-                .collect()
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut per_worker = vec![worker()];
+            per_worker.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("parallel worker panicked")),
+            );
+            per_worker
         });
 
         let mut merged: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
@@ -378,6 +380,17 @@ mod tests {
             assert_eq!(outcome.counters.engine_hits, 1, "one batch, one hit");
             assert_eq!(outcome.counters.epoch, snapshot.epoch());
         }
+    }
+
+    #[test]
+    fn one_item_batches_run_on_the_calling_thread() {
+        let (mut session, set, goals) = warm_session();
+        let snapshot = session.snapshot_with_goals(set, &goals).unwrap();
+        let pool = ParallelExecutor::new(4);
+        let (ran_on, counters) =
+            pool.fan_out(&snapshot, &goals[..1], |_, _| std::thread::current().id());
+        assert_eq!(ran_on, vec![std::thread::current().id()]);
+        assert_eq!(counters.epoch, snapshot.epoch());
     }
 
     #[test]

@@ -541,13 +541,6 @@ impl Session {
                 set_mut.engine = None;
                 set_mut.engine_deps = ArtifactDeps::default();
             }
-            // The tracker's verdict must agree with the ps-core provenance
-            // hook on the closure it tracks.
-            debug_assert_eq!(
-                set_mut.closed.as_ref().is_some_and(|c| c.depends_on(pd)),
-                set_mut.closed.is_some() && set_mut.closed_deps.depends_on(pair),
-                "dependency tracker and ClosedConstraints provenance disagree"
-            );
             if set_mut.closed_deps.depends_on(pair) {
                 set_mut.closed = None;
                 set_mut.closed_deps = ArtifactDeps::default();
@@ -794,7 +787,6 @@ impl Session {
             &self.sets[idx].pds,
             goal,
             max_generators,
-            ps_lattice::Algorithm::Worklist,
         ))
     }
 
@@ -1142,12 +1134,6 @@ fn ensure_closed(
     counters: &mut Counters,
 ) {
     if set.closed.is_some() && set.closed_deps.is_current(&set.key) {
-        debug_assert!(
-            set.closed
-                .as_ref()
-                .is_some_and(|c| c.is_current_for(&set.pds)),
-            "dependency tracker and ClosedConstraints provenance disagree"
-        );
         counters.engine_hits += 1;
     } else {
         let normalized = normalize_pds(&set.pds, arena, universe);

@@ -178,7 +178,7 @@ mod tests {
         let mut arena = TermArena::new();
         let e = vec![parse_equation("A = A*B", &mut universe, &mut arena).unwrap()];
         let goal = parse_equation("A*B = A", &mut universe, &mut arena).unwrap();
-        assert!(pd_implies(&arena, &e, goal, Algorithm::Worklist));
+        assert!(pd_implies(&arena, &e, goal));
         let fig = fixtures::figure1();
         assert!(fig
             .interpretation

@@ -5,12 +5,13 @@ mod common;
 
 use common::World;
 use partition_semantics::core::consistency::{
-    close_constraints, consistent_with_pds, normalize_pds, relation_satisfies_sum_constraints,
-    repair_sum_violations_frozen,
+    close_constraints, close_constraints_naive, consistent_with_pds, normalize_pds,
+    relation_satisfies_sum_constraints, repair_sum_violations_frozen,
 };
 use partition_semantics::core::{fds_of_fpds, fpds_of_fds, weak_bridge};
 use partition_semantics::prelude::*;
 use partition_semantics::relation::consistency::weak_instance_consistent;
+use proptest::prelude::*;
 
 #[test]
 fn fpd_only_sets_agree_with_the_honeyman_chase() {
@@ -137,18 +138,18 @@ fn normalization_is_conservative_over_the_original_attributes() {
         .collect();
     let before: Vec<bool> = goal_eqs
         .iter()
-        .map(|&g| pd_implies(&world.arena, &original, g, Algorithm::Worklist))
+        .map(|&g| pd_implies(&world.arena, &original, g))
         .collect();
 
     let normalized = normalize_pds(&original, &mut world.arena, &mut world.universe);
     let after: Vec<bool> = goal_eqs
         .iter()
-        .map(|&g| pd_implies(&world.arena, &normalized.equations, g, Algorithm::Worklist))
+        .map(|&g| pd_implies(&world.arena, &normalized.equations, g))
         .collect();
     assert_eq!(before, after, "normalization changed the implied PDs");
 
     // The closure step only adds consequences that were already implied.
-    let closed = close_constraints(&normalized, &mut world.arena, Algorithm::Worklist);
+    let closed = close_constraints(&normalized, &mut world.arena);
     for fd in &closed.fds {
         for rhs_attr in fd.rhs.iter() {
             let lhs_term = world.arena.meet_of_attrs(&fd.lhs);
@@ -156,12 +157,7 @@ fn normalization_is_conservative_over_the_original_attributes() {
             let meet = world.arena.meet(lhs_term, rhs_term);
             let goal = Equation::new(lhs_term, meet);
             assert!(
-                pd_implies(
-                    &world.arena,
-                    &normalized.equations,
-                    goal,
-                    Algorithm::Worklist
-                ),
+                pd_implies(&world.arena, &normalized.equations, goal),
                 "closure added a non-consequence {}",
                 fd.render(&world.universe)
             );
@@ -276,4 +272,56 @@ fn repair_is_idempotent_once_converged() {
         repaired.len(),
         "no further tuples are added once converged"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `close_constraints` (the engine) and `close_constraints_naive` (the
+    /// paper's fixpoint) build the same `E⁺` from random PD sets that
+    /// include sums, and `consistent_with_pds` gives the same verdict under
+    /// both saturators on random databases.
+    #[test]
+    fn naive_closure_matches_the_engine_on_random_pd_sets(
+        pd_seeds in prop::collection::vec(0u64..1_000_000, 0..4),
+        sums in prop::collection::vec((0usize..4, 0usize..4, 0usize..4), 1..3),
+        db_seed in 0u64..1_000_000,
+    ) {
+        let mut world = World::new();
+        let attrs = world.attrs(4);
+        let mut pds: Vec<Equation> = pd_seeds
+            .iter()
+            .map(|&seed| common::random_pd(&mut world.arena, &attrs, 3, seed))
+            .collect();
+        for &(c, a, b) in &sums {
+            let [c, a, b] = [c, a, b].map(|i| world.arena.atom(attrs[i]));
+            let sum = world.arena.join(a, b);
+            pds.push(Equation::new(c, sum));
+        }
+
+        let normalized = normalize_pds(&pds, &mut world.arena, &mut world.universe);
+        let engine = close_constraints(&normalized, &mut world.arena);
+        let naive = close_constraints_naive(&normalized, &mut world.arena);
+        prop_assert_eq!(&engine.fds, &naive.fds);
+        prop_assert_eq!(&engine.sums, &naive.sums);
+        prop_assert_eq!(&engine.attributes, &naive.attributes);
+
+        let db = common::random_database(&mut world, &attrs, 2, 3, 2, db_seed);
+        let mut decide = |algorithm| {
+            consistent_with_pds(
+                &db,
+                &pds,
+                &mut world.arena,
+                &mut world.universe,
+                &mut world.symbols,
+                algorithm,
+            )
+            .unwrap()
+        };
+        let by_engine = decide(Algorithm::Worklist);
+        let by_fixpoint = decide(Algorithm::NaiveFixpoint);
+        prop_assert_eq!(by_engine.consistent, by_fixpoint.consistent);
+        prop_assert_eq!(by_engine.fds, by_fixpoint.fds);
+        prop_assert_eq!(by_engine.sums, by_fixpoint.sums);
+    }
 }

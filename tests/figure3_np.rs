@@ -16,7 +16,7 @@ fn figure3_shape_matches_the_paper() {
     let reduction = reduce_nae3sat(&formula);
     let size = reduction_size(&reduction);
     // R0 plus one clause relation (plus the variable gadgets documented in
-    // DESIGN.md); attributes A, A0..A3, B0..B3.
+    // `ps_core::cad`); attributes A, A0..A3, B0..B3.
     assert_eq!(size.attributes, 9);
     assert_eq!(size.fpds, 4 + 1);
     // R0 has two tuples over A A0..A3.
